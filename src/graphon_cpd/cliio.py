@@ -77,7 +77,10 @@ def parse_edge_csv(stream: IO[str], n: int | None = None, T: int | None = None) 
         )
     if T < 1 or n < 1:
         raise DataError("empty file needs explicit n and T")
-    seq = np.zeros((T, n, n), dtype=np.int8)
+    try:
+        seq = np.zeros((T, n, n), dtype=np.int8)
+    except (MemoryError, ValueError):
+        raise DataError(f"sizes (n={n}, T={T}) too large for a dense (T, n, n) int8 array")
     for t, i, j in records:
         seq[t, i, j] = 1
         seq[t, j, i] = 1

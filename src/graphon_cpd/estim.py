@@ -14,9 +14,8 @@ import numpy as np
 
 from .netcore import average_adjacency
 
-# Chunk size bound (floats) for the row-difference workspace in
-# pairwise_distance; keeps peak memory around 300 MB for large n.
-_CHUNK_FLOATS = 2**22
+# Floats in a pairwise_distance row tile: 1 MiB stays in cache (1 row from n=257).
+_CHUNK_FLOATS = 2**17
 
 
 @dataclass(frozen=True)
@@ -40,17 +39,20 @@ def pairwise_distance(abar: np.ndarray) -> np.ndarray:
         raise ValueError("need n >= 3 so the max over k != i, i' is nonempty")
     g = abar @ abar / n
     dist = np.empty((n, n))
-    chunk = max(1, _CHUNK_FLOATS // (n * n))
-    idx = np.arange(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        # diff[a, i', k] = |G[start+a, k] - G[i', k]|
-        diff = np.abs(g[start:stop, None, :] - g[None, :, :])
-        for a in range(stop - start):
-            diff[a, :, start + a] = -np.inf  # exclude k = i
-        diff[:, idx, idx] = -np.inf  # exclude k = i'
-        dist[start:stop] = diff.max(axis=2)
-    dist[idx, idx] = 0.0
+    rows = min(n, max(1, _CHUNK_FLOATS // (n * n)))
+    buf = np.empty((rows, n, n))
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        # Only columns i' >= s; the rest is mirrored, as |x-y| == |y-x| exactly.
+        # Zeroing k = i and k = i' cannot raise a max of absolute values.
+        diff = buf[: e - s, : n - s]
+        np.subtract(g[s:e, None, :], g[None, s:, :], out=diff)
+        np.abs(diff, out=diff)
+        diff[np.arange(e - s), :, np.arange(s, e)] = 0.0
+        diff[:, np.arange(n - s), np.arange(s, n)] = 0.0
+        np.max(diff, axis=2, out=dist[s:e, s:])
+        dist[e:, s:e] = dist[s:e, e:].T
+    np.fill_diagonal(dist, 0.0)
     return dist
 
 
@@ -60,16 +62,12 @@ def neighborhoods(dist: np.ndarray, q: float) -> list[np.ndarray]:
     so every set has at least max(1, ceil(q * (n - 1))) members."""
     if not 0 < q <= 1:
         raise ValueError("q must be in (0, 1]")
-    dist = np.asarray(dist, dtype=float)
-    n = dist.shape[0]
-    m = max(1, math.ceil(q * (n - 1)))
-    nbhd = []
-    for i in range(n):
-        others = np.delete(np.arange(n), i)
-        d = dist[i, others]
-        cutoff = np.partition(d, m - 1)[m - 1]
-        nbhd.append(others[d <= cutoff])
-    return nbhd
+    d = np.array(dist, dtype=float)
+    m = max(1, math.ceil(q * (len(d) - 1)))
+    # Node i's own NaN sorts last in np.partition and fails <=, whatever else.
+    np.fill_diagonal(d, np.nan)
+    cutoff = np.partition(d, m - 1, axis=1)[:, m - 1]
+    return [np.flatnonzero(row) for row in d <= cutoff[:, None]]
 
 
 def mnbs_q(n: int, omega: float, b0: float) -> float:
@@ -85,11 +83,21 @@ def mnbs_smooth(abar: np.ndarray, nbhd: list[np.ndarray]) -> np.ndarray:
     n = abar.shape[0]
     if len(nbhd) != n:
         raise ValueError("neighbor sets do not match matrix size")
-    raw = np.empty((n, n))
-    for i, members in enumerate(nbhd):
-        if len(members) == 0:
-            raise ValueError(f"empty neighborhood for node {i}")
-        raw[i] = np.add.reduce(abar[np.sort(members)], axis=0) / len(members)
+    sizes = np.array([len(members) for members in nbhd])
+    if (sizes == 0).any():
+        raise ValueError(f"empty neighborhood for node {np.argmin(sizes)}")
+    members = np.concatenate(nbhd)
+    if members.dtype.kind not in "iu" or members.min() < 0 or members.max() >= n:
+        raise IndexError("neighbor indices must be integers in [0, n)")
+    # Row i: node i's sorted members, padded with n: a row of -0.0, as x + -0.0 == x.
+    key = np.repeat(np.arange(n) * n, sizes) + members
+    idx = np.full((n, sizes.max()), n)
+    idx[np.arange(sizes.max()) < sizes[:, None]] = np.sort(key) % n
+    padded = np.vstack([abar, np.full((1, n), -0.0)])
+    raw = np.full((n, n), -0.0)
+    for column in idx.T:
+        raw += padded[column]
+    raw /= sizes[:, None]
     return (raw + raw.T) / 2
 
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SYM_TOL = 1e-12
-
 
 def as_adjacency_sequence(arr) -> np.ndarray:
     """Validate and return a (T, n, n) array of symmetric binary snapshots."""
@@ -25,15 +23,6 @@ def as_adjacency_sequence(arr) -> np.ndarray:
     if not (seq == seq.transpose(0, 2, 1)).all():
         raise ValueError("snapshots must be symmetric")
     return seq
-
-
-def check_symmetric(mat: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got {mat.shape}")
-    if np.abs(mat - mat.T).max(initial=0.0) > tol:
-        raise ValueError("matrix is not symmetric within tolerance")
-    return mat
 
 
 def average_adjacency(seq: np.ndarray, t_from: int, t_to: int) -> np.ndarray:

@@ -249,7 +249,10 @@ def test_criterion_8_oracle_equivalence(report):
 
 
 def run_bench(threads):
-    env = dict(os.environ, GRAPHON_CPD_THREADS=str(threads))
+    # The child imports the same package as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(sys.modules["graphon_cpd"].__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, GRAPHON_CPD_THREADS=str(threads), PYTHONPATH=path)
     cmd = [
         sys.executable, "-c", "from graphon_cpd.cliio import main; main()",
         "bench", "--scenario", "DSBM-I", "--n", "40", "--T", "16",

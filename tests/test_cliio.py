@@ -120,6 +120,19 @@ class TestCli:
     def test_missing_input_is_data_error(self, capsys):
         assert cli_main(["detect", "no-such-file.csv", "--out", "x.json"]) == 2
 
+    # T * n^2 bytes exceeds the largest virtual address space 64-bit CPUs
+    # implement, 2^57 bytes (first case), or numpy's array size limit
+    # (second), so the allocation fails at once under every overcommit
+    # policy and nothing large is ever touched.
+    @pytest.mark.parametrize("node", ["999999999", "99999999999"])
+    def test_oversized_input_is_data_error(self, tmp_path, capsys, node):
+        edges = tmp_path / "edges.csv"
+        edges.write_text(f"t,i,j\n0,0,{node}\n")
+        assert cli_main(["detect", str(edges), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert f"n={int(node) + 1}, T=1" in err
+
     def test_estimate_matrix_shape(self, tmp_path):
         edges = tmp_path / "edges.csv"
         cli_main([

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from graphon_cpd import estim
 from graphon_cpd.estim import (
     EstimatorConfig,
     mnbs_estimate,
@@ -29,6 +30,44 @@ def brute_pairwise_distance(abar):
                 abs(g[i, k] - g[ip, k]) for k in range(n) if k not in (i, ip)
             )
     return d
+
+
+def loop_neighborhoods(dist, q):
+    """Per-node loop over the quantile rule."""
+    n = dist.shape[0]
+    m = max(1, math.ceil(q * (n - 1)))
+    nbhd = []
+    for i in range(n):
+        others = np.delete(np.arange(n), i)
+        d = dist[i, others]
+        cutoff = np.partition(d, m - 1)[m - 1]
+        nbhd.append(others[d <= cutoff])
+    return nbhd
+
+
+def sequential_smooth(abar, nbhd):
+    """Row sums adding the sorted member rows one at a time."""
+    n = abar.shape[0]
+    raw = np.empty((n, n))
+    for i, members in enumerate(nbhd):
+        members = np.sort(members)
+        acc = abar[members[0]].copy()
+        for j in members[1:]:
+            acc += abar[j]
+        raw[i] = acc / len(members)
+    return (raw + raw.T) / 2
+
+
+def uniform_matrix(rng, n):
+    abar = rng.random((n, n))
+    return (abar + abar.T) / 2
+
+
+def block_matrix(rng, n):
+    """Three blocks with shared rates: many exactly tied distances."""
+    blocks = rng.integers(0, 3, n)
+    rates = uniform_matrix(rng, 3)
+    return rates[blocks][:, blocks]
 
 
 class TestPairwiseDistance:
@@ -66,6 +105,21 @@ class TestPairwiseDistance:
             abar = (abar + abar.T) / 2
             assert np.array_equal(pairwise_distance(abar), brute_pairwise_distance(abar))
 
+    # rows * n^2 + extra floats: 1-row tiles, then 2-row tiles with a ragged
+    # last tile for odd n, then 3-row tiles, ragged at n = 7.
+    @pytest.mark.parametrize("n", [3, 7, 9])
+    @pytest.mark.parametrize("rows, extra", [(0, 1), (2, 0), (3, 1)])
+    @pytest.mark.parametrize("make", [uniform_matrix, block_matrix])
+    def test_tiles_match_brute_force(self, monkeypatch, n, rows, extra, make):
+        monkeypatch.setattr(estim, "_CHUNK_FLOATS", rows * n * n + extra)
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            abar = make(rng, n)
+            d = pairwise_distance(abar)
+            assert np.array_equal(d, brute_pairwise_distance(abar))
+            assert np.array_equal(d, d.T)
+            assert (np.diag(d) == 0).all()
+
 
 class TestNeighborhoods:
     def test_full_quantile(self):
@@ -97,6 +151,21 @@ class TestNeighborhoods:
         np.fill_diagonal(dist, 0.0)
         nbhd = neighborhoods(dist, 0.25)
         assert all(len(members) == 3 for members in nbhd)
+
+    @pytest.mark.parametrize("q", [1e-9, 0.2, 0.5, 1.0])  # 1e-9 gives m = 1
+    @pytest.mark.parametrize("make", [uniform_matrix, block_matrix])
+    def test_matches_per_node_loop(self, q, make):
+        rng = np.random.default_rng(3)
+        for n in (3, 8, 25):
+            dist = pairwise_distance(make(rng, n))
+            # Rounding adds ties at the cutoff to the uniform case; inf and NaN
+            # entries check that node i never counts toward its own cutoff.
+            unbounded = np.where(rng.random((n, n)) < 0.3, np.inf, dist)
+            unbounded[rng.random((n, n)) < 0.2] = np.nan
+            for d in (dist, np.round(dist, 2), unbounded):
+                got, want = neighborhoods(d, q), loop_neighborhoods(d, q)
+                assert len(got) == n
+                assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
     @pytest.mark.parametrize("q", [0.0, -0.5, 1.5])
     def test_invalid_quantile(self, q):
@@ -142,8 +211,25 @@ class TestMnbsSmooth:
         assert np.array_equal(mnbs_smooth(abar, nbhd), expected)
 
     def test_empty_neighborhood_rejected(self):
-        with pytest.raises(ValueError):
-            mnbs_smooth(np.zeros((3, 3)), [np.array([1]), np.array([]), np.array([0])])
+        with pytest.raises(ValueError, match=r"^empty neighborhood for node 1$"):
+            mnbs_smooth(np.zeros((3, 3)), [np.array([1]), np.array([]), np.array([])])
+
+    @pytest.mark.parametrize("bad", [np.array([3]), np.array([-1]), np.array([1.0])])
+    def test_bad_member_index_rejected(self, bad):
+        with pytest.raises(IndexError):
+            mnbs_smooth(np.zeros((3, 3)), [np.array([1]), bad, np.array([0])])
+
+    def test_matches_sequential_row_sums(self):
+        rng = np.random.default_rng(11)
+        for n in (3, 6, 17):
+            abar = uniform_matrix(rng, n)
+            unsorted = [rng.permutation(n)[: rng.integers(1, n + 1)] for _ in range(n)]
+            singletons = [np.array([rng.integers(n)]) for _ in range(n)]
+            full = [np.arange(n)[::-1] for _ in range(n)]
+            mixed = [unsorted[0], singletons[1], full[2]] + unsorted[3:]
+            for nbhd in (unsorted, singletons, full, mixed):
+                want = sequential_smooth(abar, nbhd)
+                assert np.array_equal(mnbs_smooth(abar, nbhd), want)
 
     def test_output_symmetric_in_range(self):
         rng = np.random.default_rng(9)
