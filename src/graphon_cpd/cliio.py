@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
+import os
 import sys
+import warnings
 from typing import IO
 
 import numpy as np
@@ -41,6 +44,45 @@ def parse_edge_csv(stream: IO[str], n: int | None = None, T: int | None = None) 
     Sizes default to the largest observed id/time plus one; explicit values
     must cover the data.
     """
+    try:
+        start = stream.tell() if stream.seekable() else None
+    except OSError:  # e.g. a text file that is being iterated with next()
+        start = None
+    if start is None:
+        stream, start = io.StringIO(stream.read(), newline=""), 0
+    rows = _read_canonical(stream)
+    if rows is None:
+        # Only the row loop reports line numbers, and it also takes the
+        # non-canonical files it has always accepted.
+        stream.seek(start)
+        return _parse_edge_rows(stream, n, T)
+    t, i, j = rows.T
+    seq = _empty_sequence(int(t.max()), int(rows[:, 1:].max()), n, T)
+    seq[t, i, j] = 1  # both orientations are set, so rows need no ordering
+    seq[t, j, i] = 1
+    return seq
+
+
+def _read_canonical(stream: IO[str]) -> np.ndarray | None:
+    """The (rows, 3) body of a file with header exactly ``t,i,j`` and rows of
+    three non-negative int64 values, read in one pass; None for any other file."""
+    if stream.readline() not in ("t,i,j\n", "t,i,j\r\n"):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt only warns on an empty body
+            rows = np.loadtxt(stream, delimiter=",", dtype=np.int64, comments=None,
+                              quotechar=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if rows.shape[1] != 3 or rows.min() < 0:
+        return None
+    return rows
+
+
+def _parse_edge_rows(stream: IO[str], n: int | None, T: int | None) -> np.ndarray:
+    """Row-by-row reader: accepts what ``csv`` and ``int`` accept, and names
+    the first bad line."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None or [c.strip() for c in header] != ["t", "i", "j"]:
@@ -65,6 +107,16 @@ def parse_edge_csv(stream: IO[str], n: int | None = None, T: int | None = None) 
         max_t = max(max_t, t)
         max_node = max(max_node, j)
 
+    seq = _empty_sequence(max_t, max_node, n, T)
+    for t, i, j in records:
+        seq[t, i, j] = 1
+        seq[t, j, i] = 1
+    return seq
+
+
+def _empty_sequence(max_t: int, max_node: int, n: int | None, T: int | None) -> np.ndarray:
+    """Zero (T, n, n) int8 array for data whose largest time and node id are
+    given (-1 for none), after checking the declared sizes against them."""
     inferred_T = max_t + 1
     inferred_n = max_node + 1
     if T is None:
@@ -78,22 +130,30 @@ def parse_edge_csv(stream: IO[str], n: int | None = None, T: int | None = None) 
     if T < 1 or n < 1:
         raise DataError("empty file needs explicit n and T")
     try:
-        seq = np.zeros((T, n, n), dtype=np.int8)
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf on this platform
+        physical = float("inf")
+    try:
+        # Refused before allocating: under memory overcommit np.zeros can
+        # succeed for a size that could never be filled.
+        if T * n * n > physical:
+            raise MemoryError
+        return np.zeros((T, n, n), dtype=np.int8)
     except (MemoryError, ValueError):
         raise DataError(f"sizes (n={n}, T={T}) too large for a dense (T, n, n) int8 array")
-    for t, i, j in records:
-        seq[t, i, j] = 1
-        seq[t, j, i] = 1
-    return seq
 
 
 def write_edge_csv(seq: np.ndarray, stream: IO[str]) -> None:
     """Write the canonical edge list: rows sorted by (t, i, j), i <= j."""
     stream.write("t,i,j\n")
+    labels = [str(k) for k in range(max(seq.shape[0], seq.shape[1]))]
     for t in range(seq.shape[0]):
         i_idx, j_idx = np.nonzero(np.triu(seq[t]))
-        for i, j in zip(i_idx, j_idx):
-            stream.write(f"{t},{i},{j}\n")
+        prefix = labels[t] + ","
+        stream.write("".join([
+            f"{prefix}{labels[i]},{labels[j]}\n"
+            for i, j in zip(i_idx.tolist(), j_idx.tolist())
+        ]))
 
 
 # --- JSON with fixed float formatting -------------------------------------
@@ -182,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="t_to", type=int, required=True)
     p.add_argument("--method", choices=["mnbs", "musvt"], default="mnbs")
     p.add_argument("--B0", type=float, default=3.0)
-    p.add_argument("--eta", type=float, default=0.01)
+    p.add_argument("--eta", type=float, default=0.01, help="MUSVT threshold margin")
     p.add_argument("--out", required=True, help="matrix CSV path")
 
     p = sub.add_parser("simulate", help="sample a synthetic scenario")
@@ -247,9 +307,7 @@ def _run(args) -> int:
         if not 1 <= args.t_from <= args.t_to <= T:
             raise UsageError(f"window [{args.t_from}, {args.t_to}] invalid for T={T}")
         if args.method == "mnbs":
-            est = mnbs_estimate(
-                seq, args.t_from, args.t_to, EstimatorConfig(b0=args.B0, eta=args.eta)
-            )
+            est = mnbs_estimate(seq, args.t_from, args.t_to, EstimatorConfig(b0=args.B0))
         else:
             abar = average_adjacency(seq, args.t_from, args.t_to)
             est = musvt_estimate(abar, args.t_to - args.t_from + 1, args.eta)

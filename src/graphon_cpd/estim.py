@@ -21,13 +21,10 @@ _CHUNK_FLOATS = 2**17
 @dataclass(frozen=True)
 class EstimatorConfig:
     b0: float = 3.0
-    eta: float = 0.01
 
     def __post_init__(self):
         if self.b0 <= 0:
             raise ValueError("b0 must be positive")
-        if not 0 < self.eta < 1:
-            raise ValueError("eta must be in (0, 1)")
 
 
 def pairwise_distance(abar: np.ndarray) -> np.ndarray:

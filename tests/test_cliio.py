@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphon_cpd import cliio
 from graphon_cpd.cliio import (
     DataError,
     cli_main,
@@ -15,6 +20,9 @@ from graphon_cpd.cliio import (
 )
 from graphon_cpd.cpd import default_params, detect
 from graphon_cpd.genmodels import ScenarioSpec, scenario_sequence
+
+# The row-by-row reader is the oracle for the single-pass one.
+row_loop = cliio._parse_edge_rows
 
 
 class TestEdgeCsv:
@@ -52,6 +60,147 @@ class TestEdgeCsv:
         buf2 = io.StringIO()
         write_edge_csv(reparsed, buf2)
         assert buf.getvalue() == buf2.getvalue()
+
+    def test_write_rows(self):
+        seq = np.zeros((12, 11, 11), dtype=np.int8)
+        seq[0, 3, 3] = seq[0, 10, 2] = seq[0, 2, 10] = seq[11, 0, 1] = seq[11, 1, 0] = 1
+        buf = io.StringIO()
+        write_edge_csv(seq, buf)
+        assert buf.getvalue() == "t,i,j\n0,2,10\n0,3,3\n11,0,1\n"
+
+    def test_empty_body(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for text in ("t,i,j\n", "t,i,j\r\n\r\n\n"):
+                with pytest.raises(DataError, match="^empty file needs explicit n and T$"):
+                    parse_edge_csv(io.StringIO(text))
+            seq = parse_edge_csv(io.StringIO("t,i,j\r\n\n"), n=2, T=1)
+        assert seq.tolist() == [[[0, 0], [0, 0]]]
+        assert caught == []  # loadtxt's empty-input warning stays inside
+
+    def test_size_bound_checked_before_allocating(self, monkeypatch):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}  # 1 MiB
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        assert parse_edge_csv(io.StringIO("t,i,j\n0,0,1023\n")).shape == (1, 1024, 1024)
+        with pytest.raises(DataError, match=r"^sizes \(n=1024, T=2\) too large"):
+            parse_edge_csv(io.StringIO("t,i,j\n1,0,1023\n"))
+        monkeypatch.delattr(os, "sysconf")
+        assert parse_edge_csv(io.StringIO("t,i,j\n1,0,1023\n")).shape == (2, 1024, 1024)
+
+    def test_canonical_file_takes_single_pass(self, monkeypatch):
+        text = "t,i,j\r\n0,2,1\r\n+1, 0 ,0\n\n-0,1,2\n01,3,0\n0,1,2"
+        expected = row_loop(io.StringIO(text), None, None)
+        monkeypatch.setattr(cliio, "_parse_edge_rows", None)  # a fallback would fail
+        seq = parse_edge_csv(io.StringIO(text))
+        assert seq.dtype == np.int8 and np.array_equal(seq, expected)
+
+    @pytest.mark.parametrize("text", [
+        "t,i,j\n0,1,2\n1,2,0\n",
+        "t,i,j\n0,1,2\n1,2,1_0\n",
+        "t,i,j\n0,1,2\n1,x,0\n",
+    ])
+    def test_non_seekable_stream(self, text):
+        class Pipe(io.StringIO):
+            def seekable(self):
+                return False
+
+            def seek(self, *args):
+                raise io.UnsupportedOperation("seek")
+
+            def tell(self):
+                raise io.UnsupportedOperation("tell")
+
+        assert_same(outcome(parse_edge_csv, Pipe(text)), outcome(row_loop, io.StringIO(text)))
+
+    def test_stream_read_from_its_current_position(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("preamble\nt,i,j\n0,0,1\n1,1_0,2\n", encoding="utf-8")
+        expected = row_loop(io.StringIO("t,i,j\n0,0,1\n1,1_0,2\n"), None, None)
+        with open(path, newline="", encoding="utf-8") as fh:
+            next(fh)  # iterating disables tell(); the rest is buffered
+            assert np.array_equal(parse_edge_csv(fh), expected)
+        stream = io.StringIO(path.read_text(encoding="utf-8"))
+        stream.readline()  # the fallback rewinds to here, not to 0
+        assert np.array_equal(parse_edge_csv(stream), expected)
+
+
+def outcome(parse, stream, n=None, T=None):
+    """The parsed array, or the message of the DataError raised instead."""
+    try:
+        return parse(stream, n=n, T=T)
+    except DataError as exc:
+        return str(exc)
+
+
+def assert_same(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def _spellings(value):
+    """Spellings of a small id: the first five are ones numpy also reads."""
+    return [str(value), f"+{value}", f" {value} ", f"0{value}", f"{value}\u00a0",
+            "٠١٢٣٤٥"[value], f'"{value}"', f"{value}.0", hex(value), f"{value}_0"]
+
+
+HOSTILE_FIELDS = ["-0", "-1", "1_0", "1.0", "0x1", "١", str(2**63), str(2**64 + 3),
+                  "", " ", "#", "1e0"]
+plain = st.integers(0, 5).map(str)
+readable = st.one_of(st.integers(0, 5).flatmap(lambda v: st.sampled_from(_spellings(v)[:5])),
+                     st.just("-0"))
+any_field = st.one_of(st.integers(0, 5).flatmap(lambda v: st.sampled_from(_spellings(v))),
+                      st.sampled_from(HOSTILE_FIELDS))
+endings = st.sampled_from(["\n", "\r\n"])
+clean_lines = st.one_of(
+    st.tuples(plain, plain, plain).map(",".join),  # self-loops, both orientations
+    st.tuples(readable, readable, readable).map(",".join),
+    st.just(""),
+)
+hostile_lines = st.one_of(
+    st.tuples(any_field, any_field, any_field).map(",".join),
+    st.lists(plain, min_size=2, max_size=4).map(",".join),
+    st.tuples(plain, plain, plain).map(lambda r: ",".join(r) + ","),
+    st.sampled_from(["   ", "# comment", "#0,1,2"]),
+)
+
+
+@st.composite
+def edge_files(draw):
+    header = draw(st.sampled_from(["t,i,j"] * 4 + [" t, i ,j", "t,i,j,", '"t",i,j', "i,j,t"]))
+    body = draw(st.lists(st.tuples(clean_lines, endings), max_size=12))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(body)))
+        body.insert(at, draw(st.tuples(hostile_lines, endings)))
+    return header + draw(endings) + "".join(line + end for line, end in body)
+
+
+@pytest.mark.parametrize("text", [
+    "t,i,j\n0,1\n2,3\n",
+    "t,i,j\n0,1,2,3\n",
+    "t,i,j\n0,1,2,\n",
+    "t,i,j\n0,-1,2\n",
+    't,i,j\n"1",0,1\n',
+    "t,i,j\n1_0,0,1\n",
+    "t,i,j\n0,0,9223372036854775808\n",
+    "t,i,j\n#0,0,1\n0,0,1\n",
+    "t,i,j\n0,0,1\n \t\n",
+    "t,i,j\n0,0,1\r0,1,2\n",
+])
+def test_hostile_file_matches_row_loop(text):
+    # newline="" as in the CLI: the row loop takes a lone \r as a line end
+    got = outcome(parse_edge_csv, io.StringIO(text, newline=""))
+    assert_same(got, outcome(row_loop, io.StringIO(text, newline="")))
+
+
+@given(edge_files(), st.none() | st.integers(1, 8), st.none() | st.integers(1, 8),
+       st.sampled_from(["\n", ""]))
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_row_loop(text, n, T, newline):
+    got = outcome(parse_edge_csv, io.StringIO(text, newline=newline), n, T)
+    assert_same(got, outcome(row_loop, io.StringIO(text, newline=newline), n, T))
 
 
 @pytest.fixture(scope="module")
@@ -120,11 +269,17 @@ class TestCli:
     def test_missing_input_is_data_error(self, capsys):
         assert cli_main(["detect", "no-such-file.csv", "--out", "x.json"]) == 2
 
-    # T * n^2 bytes exceeds the largest virtual address space 64-bit CPUs
-    # implement, 2^57 bytes (first case), or numpy's array size limit
-    # (second), so the allocation fails at once under every overcommit
-    # policy and nothing large is ever touched.
-    @pytest.mark.parametrize("node", ["999999999", "99999999999"])
+    # 91 TiB could be reserved under memory overcommit, so the first case
+    # needs the physical-memory bound checked before allocating. The others
+    # exceed the 2^57-byte virtual address space of 64-bit CPUs or numpy's
+    # array size limit, so even the allocation fails at once; nothing large
+    # is ever touched.
+    @pytest.mark.parametrize("node", [
+        pytest.param("10000000", marks=pytest.mark.skipif(
+            not hasattr(os, "sysconf"), reason="physical memory size unknown")),
+        "999999999",
+        "99999999999",
+    ])
     def test_oversized_input_is_data_error(self, tmp_path, capsys, node):
         edges = tmp_path / "edges.csv"
         edges.write_text(f"t,i,j\n0,0,{node}\n")
@@ -151,6 +306,21 @@ class TestCli:
             "estimate", str(edges), "--n", "12", "--T", "6",
             "--from", "1", "--to", "6", "--method", "musvt", "--out", str(out2),
         ]) == 0
+
+    def test_estimate_eta_only_reaches_musvt(self, tmp_path, capsys):
+        edges = tmp_path / "edges.csv"
+        cli_main([
+            "simulate", "--scenario", "NOCHANGE-SBM-III", "--n", "12", "--T", "6",
+            "--seed", "1", "--out", str(edges),
+        ])
+        window = ["estimate", str(edges), "--from", "1", "--to", "6"]
+        outs = [tmp_path / "default.csv", tmp_path / "eta2.csv"]
+        assert cli_main([*window, "--out", str(outs[0])]) == 0
+        assert cli_main([*window, "--method", "mnbs", "--eta", "2", "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        code = cli_main([*window, "--method", "musvt", "--eta", "2", "--out", str(outs[1])])
+        assert code == 3
+        assert capsys.readouterr().err == "numeric error: eta must be in (0, 1)\n"
 
     def test_bench_writes_csv(self, tmp_path):
         out = tmp_path / "bench.csv"
