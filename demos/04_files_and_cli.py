@@ -20,21 +20,22 @@ def cli(*args):
     return subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
 
 
-work = Path(tempfile.mkdtemp())
-edges = work / "edges.csv"
-out = work / "report.json"
+with tempfile.TemporaryDirectory() as tmp:
+    work = Path(tmp)
+    edges = work / "edges.csv"
+    out = work / "report.json"
 
-seq, truth = scenario_sequence(ScenarioSpec(id="DSBM-I", n=50, T=36, seed=9))
-with open(edges, "w") as fh:
-    write_edge_csv(seq, fh)
-print(f"wrote {edges} ({edges.stat().st_size} bytes), true change at {truth.changepoints}")
+    seq, truth = scenario_sequence(ScenarioSpec(id="DSBM-I", n=50, T=36, seed=9))
+    with open(edges, "w") as fh:
+        write_edge_csv(seq, fh)
+    print(f"wrote {edges} ({edges.stat().st_size} bytes), true change at {truth.changepoints}")
 
-with open(edges) as fh:
-    reparsed = parse_edge_csv(fh, n=50, T=36)
-print(f"round-trip exact: {(reparsed == seq).all()}")
+    with open(edges) as fh:
+        reparsed = parse_edge_csv(fh, n=50, T=36)
+    print(f"round-trip exact: {(reparsed == seq).all()}")
 
-cli("detect", str(edges), "--n", "50", "--T", "36", "--out", str(out))
-payload = json.loads(out.read_text())
-print(f"CLI detect: h={payload['h']}, changepoints={payload['changepoints']}")
+    cli("detect", str(edges), "--n", "50", "--T", "36", "--out", str(out))
+    payload = json.loads(out.read_text())
+    print(f"CLI detect: h={payload['h']}, changepoints={payload['changepoints']}")
 
 print(cli("eval", "--est", "48,90", "--truth", "50", "--T", "100").strip())

@@ -1,93 +1,35 @@
 """Link-probability estimation and change-point detection for dynamic networks."""
 
-from .cliio import (
-    BENCH_CSV_HEADER,
-    parse_edge_csv,
-    write_edge_csv,
-    write_report_json,
-)
-from .cpd import (
-    ChangePointReport,
-    DetectorParams,
-    ScanProfile,
-    default_params,
-    detect,
-    local_maximizers,
-    scan_profile,
-    threshold_value,
-)
-from .estim import (
-    EstimatorConfig,
-    mnbs_estimate,
-    mnbs_from_average,
-    mnbs_q,
-    mnbs_smooth,
-    musvt_estimate,
-    neighborhoods,
-    pairwise_distance,
-)
-from .evalbench import (
-    BenchRow,
-    BoysenResult,
-    boysen,
-    min_signal_level,
-    monte_carlo,
-    signal_level,
-)
+from .cliio import parse_edge_csv, write_edge_csv
+from .cpd import default_params, detect
+from .estim import mnbs_estimate, musvt_estimate
+from .evalbench import BENCH_CSV_HEADER, boysen, monte_carlo, signal_level
 from .genmodels import (
-    GroundTruth,
     ScenarioSpec,
-    delta_nT,
-    graphon_matrix,
     sample_snapshot,
     sbm_matrix,
     scenario_sequence,
     snapshot_rng,
 )
-from .netcore import (
-    as_adjacency_sequence,
-    average_adjacency,
-    dist_2inf,
-    dist_frob,
-)
+from .netcore import average_adjacency, dist_2inf, dist_frob
 
 __all__ = [
     "BENCH_CSV_HEADER",
-    "BenchRow",
-    "BoysenResult",
-    "ChangePointReport",
-    "DetectorParams",
-    "EstimatorConfig",
-    "GroundTruth",
-    "ScanProfile",
     "ScenarioSpec",
-    "as_adjacency_sequence",
     "average_adjacency",
     "boysen",
     "default_params",
-    "delta_nT",
     "detect",
     "dist_2inf",
     "dist_frob",
-    "graphon_matrix",
-    "local_maximizers",
-    "min_signal_level",
     "mnbs_estimate",
-    "mnbs_from_average",
-    "mnbs_q",
-    "mnbs_smooth",
     "monte_carlo",
     "musvt_estimate",
-    "neighborhoods",
-    "pairwise_distance",
     "parse_edge_csv",
     "sample_snapshot",
     "sbm_matrix",
-    "scan_profile",
     "scenario_sequence",
     "signal_level",
     "snapshot_rng",
-    "threshold_value",
     "write_edge_csv",
-    "write_report_json",
 ]

@@ -21,10 +21,10 @@ from typing import IO
 import numpy as np
 
 from .cpd import ChangePointReport, DetectorParams, default_params, detect
-from .estim import EstimatorConfig, mnbs_estimate, musvt_estimate
+from .estim import mnbs_estimate, musvt_estimate
 from .evalbench import BENCH_CSV_HEADER, boysen, monte_carlo
 from .genmodels import ScenarioSpec, scenario_sequence
-from .netcore import as_adjacency_sequence, average_adjacency
+from .netcore import average_adjacency
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,7 +83,7 @@ def _read_canonical(stream: IO[str]) -> np.ndarray | None:
 def _parse_edge_rows(stream: IO[str], n: int | None, T: int | None) -> np.ndarray:
     """Row-by-row reader: accepts what ``csv`` and ``int`` accept, and names
     the first bad line."""
-    reader = csv.reader(stream)
+    reader = _csv_rows(stream)
     header = next(reader, None)
     if header is None or [c.strip() for c in header] != ["t", "i", "j"]:
         raise DataError("expected header 't,i,j'")
@@ -112,6 +112,15 @@ def _parse_edge_rows(stream: IO[str], n: int | None, T: int | None) -> np.ndarra
         seq[t, i, j] = 1
         seq[t, j, i] = 1
     return seq
+
+
+def _csv_rows(stream: IO[str]):
+    """``csv.reader`` rows, with a malformed or oversized field as a DataError."""
+    reader = csv.reader(stream)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
 
 
 def _empty_sequence(max_t: int, max_node: int, n: int | None, T: int | None) -> np.ndarray:
@@ -273,6 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _detector_params(args, T: int, n: int) -> DetectorParams:
     base = default_params(T, n)
     h = args.h if args.h is not None else base.h
+    if 2 * h > T:
+        raise UsageError(f"need 2h <= T, got h={h}, T={T}")
     return DetectorParams(h=h, b0=args.B0, d0=args.D0, delta0=args.delta0)
 
 
@@ -289,8 +300,6 @@ def _run(args) -> int:
             seq = parse_edge_csv(fh, n=args.n, T=args.T)
         T, n = seq.shape[0], seq.shape[1]
         params = _detector_params(args, T, n)
-        if 2 * params.h > T:
-            raise UsageError(f"need 2h <= T, got h={params.h}, T={T}")
         report = detect(seq, params)
         write_report_json(report, args.out)
         if args.scan_out:
@@ -307,7 +316,7 @@ def _run(args) -> int:
         if not 1 <= args.t_from <= args.t_to <= T:
             raise UsageError(f"window [{args.t_from}, {args.t_to}] invalid for T={T}")
         if args.method == "mnbs":
-            est = mnbs_estimate(seq, args.t_from, args.t_to, EstimatorConfig(b0=args.B0))
+            est = mnbs_estimate(seq, args.t_from, args.t_to, args.B0)
         else:
             abar = average_adjacency(seq, args.t_from, args.t_to)
             est = musvt_estimate(abar, args.t_to - args.t_from + 1, args.eta)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._parallel import ordered_map
-from .estim import EstimatorConfig, mnbs_from_average
-from .netcore import as_adjacency_sequence, dist_2inf
+from .estim import mnbs_from_average
+from .netcore import as_adjacency_sequence, average_adjacency, dist_2inf
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,8 @@ def threshold_value(n: int, params: DetectorParams) -> float:
 def scan_profile(seq: np.ndarray, params: DetectorParams) -> ScanProfile:
     """Scan statistic D(t, h) for t = h, ..., T - h.
 
-    Window averages come from one pass of prefix sums (exact for 0/1 entries),
-    and each length-h window is smoothed once and reused by the two scan
-    points that reference it.
+    Each length-h window is smoothed once and reused by the two scan points
+    that reference it.
     """
     seq = as_adjacency_sequence(seq)
     T, n = seq.shape[0], seq.shape[1]
@@ -85,15 +84,8 @@ def scan_profile(seq: np.ndarray, params: DetectorParams) -> ScanProfile:
     if n < 3:
         raise ValueError("require n >= 3")
 
-    prefix = np.concatenate(
-        [np.zeros((1, n, n)), np.cumsum(seq, axis=0, dtype=float)]
-    )
-    cfg = EstimatorConfig(b0=params.b0)
-
     def estimate(start: int) -> np.ndarray:
-        # window of snapshots start + 1, ..., start + h (1-based)
-        abar = (prefix[start + h] - prefix[start]) / h
-        return mnbs_from_average(abar, h, cfg)
+        return mnbs_from_average(average_adjacency(seq, start + 1, start + h), h, params.b0)
 
     estimates = ordered_map(estimate, range(T - h + 1))
     ts = np.arange(h, T - h + 1)

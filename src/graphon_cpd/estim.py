@@ -8,7 +8,6 @@ adjacency matrix (the primary method) and a spectral truncation alternative
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,15 +15,6 @@ from .netcore import average_adjacency
 
 # Floats in a pairwise_distance row tile: 1 MiB stays in cache (1 row from n=257).
 _CHUNK_FLOATS = 2**17
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    b0: float = 3.0
-
-    def __post_init__(self):
-        if self.b0 <= 0:
-            raise ValueError("b0 must be positive")
 
 
 def pairwise_distance(abar: np.ndarray) -> np.ndarray:
@@ -103,21 +93,18 @@ def smoothing_bandwidth(n: int, window: int) -> float:
     return min(math.sqrt(n), math.sqrt(window * math.log(n)))
 
 
-def mnbs_from_average(abar: np.ndarray, window: int, cfg: EstimatorConfig) -> np.ndarray:
+def mnbs_from_average(abar: np.ndarray, window: int, b0: float) -> np.ndarray:
     """Neighborhood-smoothing estimate given a precomputed window average."""
     n = abar.shape[0]
-    q = mnbs_q(n, smoothing_bandwidth(n, window), cfg.b0)
+    q = mnbs_q(n, smoothing_bandwidth(n, window), b0)
     nbhd = neighborhoods(pairwise_distance(abar), q)
     return mnbs_smooth(abar, nbhd)
 
 
-def mnbs_estimate(
-    seq: np.ndarray, t_from: int, t_to: int, cfg: EstimatorConfig | None = None
-) -> np.ndarray:
+def mnbs_estimate(seq: np.ndarray, t_from: int, t_to: int, b0: float = 3.0) -> np.ndarray:
     """Full estimation chain over the 1-based window [t_from, t_to]."""
-    cfg = cfg or EstimatorConfig()
     abar = average_adjacency(seq, t_from, t_to)
-    return mnbs_from_average(abar, t_to - t_from + 1, cfg)
+    return mnbs_from_average(abar, t_to - t_from + 1, b0)
 
 
 def musvt_estimate(abar: np.ndarray, window: int, eta: float = 0.01) -> np.ndarray:

@@ -18,7 +18,7 @@ def as_adjacency_sequence(arr) -> np.ndarray:
         raise ValueError(f"expected shape (T, n, n), got {seq.shape}")
     if seq.shape[0] < 1:
         raise ValueError("need at least one snapshot")
-    if not np.isin(seq, (0, 1)).all():
+    if not ((seq == 0) | (seq == 1)).all():
         raise ValueError("adjacency entries must be 0 or 1")
     if not (seq == seq.transpose(0, 2, 1)).all():
         raise ValueError("snapshots must be symmetric")
@@ -31,8 +31,8 @@ def average_adjacency(seq: np.ndarray, t_from: int, t_to: int) -> np.ndarray:
     if not (1 <= t_from <= t_to <= T):
         raise IndexError(f"window [{t_from}, {t_to}] out of range for T={T}")
     window = seq[t_from - 1 : t_to]
-    # 0/1 entries: the float64 running sum is exact, so the result does not
-    # depend on how the window is later split (see sliding-window use in cpd).
+    # 0/1 entries: the float64 sum is an exact count, so every window of the
+    # same snapshots gives the same bits, however the sum is ordered.
     return np.add.reduce(window, axis=0, dtype=float) / (t_to - t_from + 1)
 
 

@@ -44,6 +44,14 @@ class TestEdgeCsv:
         with pytest.raises(DataError, match="line 3"):
             parse_edge_csv(io.StringIO("t,i,j\n0,0,1\n0,x,1\n"))
 
+    @pytest.mark.parametrize("text,line", [
+        ("t,i,j\n0,0,1\r0,1,2\n", 2),  # a lone \r without universal newlines
+        ("t,i,j\n0,0,1\n0,1," + "1" * 200000 + "\n", 3),  # over csv's field limit
+    ], ids=["lone CR", "long field"])
+    def test_csv_error_is_data_error(self, text, line):
+        with pytest.raises(DataError, match=f"^line {line}: "):
+            parse_edge_csv(io.StringIO(text))
+
     def test_declared_bounds_enforced(self):
         with pytest.raises(DataError):
             parse_edge_csv(io.StringIO("t,i,j\n5,0,1\n"), T=3)
@@ -255,11 +263,13 @@ class TestCli:
             "simulate", "--scenario", "DSBM-I", "--n", "30", "--T", "16",
             "--seed", "7", "--out", str(edges),
         ])
-        code = cli_main([
-            "detect", str(edges), "--T", "16", "--h", "9", "--out", "x.json",
-        ])
-        assert code == 1
-        assert "2h <= T" in capsys.readouterr().err
+        for command in (
+            ["detect", str(edges), "--T", "16", "--h", "9", "--out", "x.json"],
+            ["bench", "--scenario", "DSBM-I", "--n", "30", "--T", "16", "--seed", "1",
+             "--reps", "1", "--h", "9"],
+        ):
+            assert cli_main(command) == 1
+            assert capsys.readouterr().err == "error: need 2h <= T, got h=9, T=16\n"
 
     def test_eval_subcommand(self, capsys):
         assert cli_main(["eval", "--est", "48,90", "--truth", "50", "--T", "100"]) == 0
@@ -287,6 +297,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
         assert f"n={int(node) + 1}, T=1" in err
+
+    def test_oversized_field_is_data_error(self, tmp_path, capsys):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("t,i,j\n0,0," + "1" * 200000 + "\n")
+        assert cli_main(["detect", str(edges), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == "data error: line 2: field larger than field limit (131072)\n"
 
     def test_estimate_matrix_shape(self, tmp_path):
         edges = tmp_path / "edges.csv"
@@ -321,6 +338,16 @@ class TestCli:
         code = cli_main([*window, "--method", "musvt", "--eta", "2", "--out", str(outs[1])])
         assert code == 3
         assert capsys.readouterr().err == "numeric error: eta must be in (0, 1)\n"
+
+    def test_estimate_nonpositive_b0_is_numeric_error(self, tmp_path, capsys):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("t,i,j\n0,0,1\n0,1,2\n")
+        out = tmp_path / "mat.csv"
+        assert cli_main(["estimate", str(edges), "--from", "1", "--to", "1",
+                         "--B0", "0", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric error: require n >= 3, omega > 0, b0 > 0\n")
+        assert not out.exists()
 
     def test_bench_writes_csv(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from graphon_cpd.cpd import (
     scan_profile,
     threshold_value,
 )
-from graphon_cpd.estim import EstimatorConfig, mnbs_estimate
+from graphon_cpd.estim import mnbs_estimate
 from graphon_cpd.genmodels import ScenarioSpec, sample_snapshot, sbm_matrix, scenario_sequence, snapshot_rng
 from graphon_cpd.netcore import dist_2inf
 
@@ -76,17 +78,27 @@ class TestScanProfile:
             scan_profile(seq, DetectorParams(h=4))
 
     def test_matches_direct_window_estimates(self):
-        # sliding-window averages must reproduce the direct computation
         spec = ScenarioSpec(id="DSBM-I", n=12, T=12, seed=5)
         seq, _ = scenario_sequence(spec)
         params = DetectorParams(h=3)
         profile = scan_profile(seq, params)
-        cfg = EstimatorConfig(b0=params.b0)
         for t in profile.ts:
-            left = mnbs_estimate(seq, t - 2, t, cfg)
-            right = mnbs_estimate(seq, t + 1, t + 3, cfg)
-            direct = dist_2inf(left, right) ** 2
-            assert profile.value_at(t) == pytest.approx(direct, abs=1e-12)
+            left = mnbs_estimate(seq, t - 2, t, params.b0)
+            right = mnbs_estimate(seq, t + 1, t + 3, params.b0)
+            assert profile.value_at(t) == dist_2inf(left, right) ** 2
+
+    def test_peak_memory_is_the_estimates(self, monkeypatch):
+        # No per-snapshot buffer: the T - h + 1 float64 estimates dominate.
+        monkeypatch.setenv("GRAPHON_CPD_THREADS", "1")
+        n, T, h = 30, 400, 20
+        seq, _ = scenario_sequence(ScenarioSpec(id="MDSBM-I", n=n, T=T, seed=1))
+        tracemalloc.start()
+        try:
+            scan_profile(seq, DetectorParams(h=h))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (T - h + 1) * n * n * 8
 
 
 class TestLocalMaximizers:

@@ -17,7 +17,11 @@ def test_demo_runs(script, tmp_path):
     # The child imports the same package as this process, installed or not.
     src = os.path.dirname(os.path.dirname(graphon_cpd.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp_path))
-    result = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    cwd, tmpdir = tmp_path / "cwd", tmp_path / "tmp"
+    cwd.mkdir()
+    tmpdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmpdir))
+    result = subprocess.run([sys.executable, str(script)], cwd=cwd, env=env,
                             capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stderr
+    assert list(tmpdir.iterdir()) == []  # a demo leaves no temporary files

@@ -5,7 +5,6 @@ import pytest
 
 from graphon_cpd import estim
 from graphon_cpd.estim import (
-    EstimatorConfig,
     mnbs_estimate,
     mnbs_q,
     mnbs_smooth,

@@ -97,10 +97,23 @@ class TestSequenceValidation:
         with pytest.raises(ValueError):
             as_adjacency_sequence(a)
 
-    def test_rejects_nonbinary(self):
-        with pytest.raises(ValueError):
-            as_adjacency_sequence(np.full((1, 3, 3), 0.5))
+    @pytest.mark.parametrize("entry", [
+        0.5, 2, -1, np.nan, np.inf, 1e-300, 1j, np.uint8(255),
+        np.array(2, dtype=object), np.array("a", dtype=object), "1",
+    ], ids=repr)
+    def test_rejects_nonbinary(self, entry):
+        seq = np.stack([ring(3), ring(3)]).astype(np.asarray(entry).dtype)
+        seq[1, 0, 1] = seq[1, 1, 0] = entry
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            as_adjacency_sequence(seq)
 
-    def test_accepts_valid(self):
-        seq = as_adjacency_sequence(np.stack([ring(4)]))
-        assert seq.shape == (1, 4, 4)
+    @pytest.mark.parametrize("seq", [
+        np.stack([ring(4)]),
+        np.stack([ring(4)]).astype(bool),
+        np.where(np.stack([ring(4)]) == 1, 1.0, -0.0),
+        np.stack([ring(4)]).astype(complex),
+        np.stack([ring(4)]).astype(object),
+        np.zeros((1, 0, 0)),
+    ], ids=["int8", "bool", "signed zero", "complex", "object", "empty"])
+    def test_accepts_valid(self, seq):
+        assert as_adjacency_sequence(seq).shape == seq.shape
