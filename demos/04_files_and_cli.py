@@ -16,7 +16,7 @@ from graphon_cpd import ScenarioSpec, parse_edge_csv, scenario_sequence, write_e
 
 
 def cli(*args):
-    cmd = [sys.executable, "-c", "from graphon_cpd.cliio import main; main()", *args]
+    cmd = [sys.executable, "-m", "graphon_cpd", *args]
     return subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
 
 

@@ -342,7 +342,10 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "eval":
-        res = boysen(_parse_points(args.est), _parse_points(args.truth), args.T)
+        try:  # a malformed or out-of-range point is a bad argument
+            res = boysen(_parse_points(args.est), _parse_points(args.truth), args.T)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         payload = {"xi1": res.xi1, "xi2": res.xi2 if res.xi2 is not None else "-"}
         sys.stdout.write(dumps_json(payload))
         return EXIT_OK

@@ -134,7 +134,7 @@ def detect(
             stacklevel=2,
         )
     profile = scan_profile(seq, params)
-    n = seq.shape[1]
+    n = np.shape(seq)[1]
     thr = threshold_value(n, params)
     maxima = local_maximizers(profile)
     cps = [t for t in maxima if profile.value_at(t) > thr]

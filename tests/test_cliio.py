@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -275,6 +277,27 @@ class TestCli:
         assert cli_main(["eval", "--est", "48,90", "--truth", "50", "--T", "100"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"xi1": 2, "xi2": 40}
+
+    @pytest.mark.parametrize("args", [
+        ["--est", "a", "--T", "10"],
+        ["--est", "0", "--T", "10"],
+        ["--truth", "101", "--T", "100"],
+    ])
+    def test_eval_bad_points_are_usage_errors(self, args, capsys):
+        assert cli_main(["eval", *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_module_entry_point(self):
+        # The child imports the same package as this process, installed or not.
+        src = os.path.dirname(os.path.dirname(cliio.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "graphon_cpd",
+             "eval", "--est", "48", "--truth", "50", "--T", "100"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+        assert (result.returncode, result.stderr) == (0, "")
+        assert json.loads(result.stdout) == {"xi1": 2, "xi2": 2}
 
     def test_missing_input_is_data_error(self, capsys):
         assert cli_main(["detect", "no-such-file.csv", "--out", "x.json"]) == 2

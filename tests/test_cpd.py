@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from graphon_cpd.cliio import report_to_dict
 from graphon_cpd.cpd import (
     DetectorParams,
     ScanProfile,
@@ -164,6 +165,12 @@ class TestDetect:
         b = detect(seq, default_params(36, 40))
         assert np.array_equal(a.scan.values, b.scan.values)
         assert a.changepoints == b.changepoints
+
+    def test_accepts_nested_lists(self, dsbm_instance):
+        seq, _ = dsbm_instance
+        params = default_params(36, 40)
+        expected = report_to_dict(detect(seq, params))
+        assert report_to_dict(detect(seq.tolist(), params)) == expected
 
     def test_min_segment_warning(self, dsbm_instance):
         seq, _ = dsbm_instance

@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from graphon_cpd import cpd
 from graphon_cpd.cpd import DetectorParams
 from graphon_cpd.evalbench import (
     BenchRow,
@@ -115,6 +118,22 @@ class TestMonteCarlo:
         assert len(fields) == 8
         assert fields[0] == "NOCHANGE-SBM-III"
         assert fields[6] == "2"
+
+    def test_one_pool_level(self, monkeypatch):
+        # Replications run in sequence, so only one scan's window pool is
+        # alive at a time: at most GRAPHON_CPD_THREADS extra threads.
+        monkeypatch.setenv("GRAPHON_CPD_THREADS", "2")
+        counts = []
+        smooth = cpd.mnbs_from_average
+
+        def spy(*args):
+            counts.append(threading.active_count())
+            return smooth(*args)
+
+        monkeypatch.setattr(cpd, "mnbs_from_average", spy)
+        base = threading.active_count()
+        monte_carlo(ScenarioSpec("DSBM-I", 20, 16, 4), 3)
+        assert counts and max(counts) <= base + 2
 
     def test_invalid_reps(self):
         with pytest.raises(ValueError):
