@@ -20,6 +20,7 @@ from typing import IO
 
 import numpy as np
 
+from ._parallel import thread_count
 from .cpd import ChangePointReport, DetectorParams, default_params, detect
 from .estim import mnbs_estimate, musvt_estimate
 from .evalbench import BENCH_CSV_HEADER, boysen, monte_carlo
@@ -376,6 +377,10 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        try:  # a bad GRAPHON_CPD_THREADS is a bad setting, whatever the command
+            thread_count()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         return _run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

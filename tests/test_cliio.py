@@ -273,6 +273,16 @@ class TestCli:
             assert cli_main(command) == 1
             assert capsys.readouterr().err == "error: need 2h <= T, got h=9, T=16\n"
 
+    @pytest.mark.parametrize("threads", ["abc", "-1"])
+    def test_bad_thread_setting_is_usage_error(self, monkeypatch, capsys, threads):
+        monkeypatch.setenv("GRAPHON_CPD_THREADS", threads)
+        assert cli_main([
+            "bench", "--scenario", "DSBM-I", "--n", "20", "--T", "16", "--seed", "1",
+            "--reps", "1",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: GRAPHON_CPD_THREADS") and err.count("\n") == 1
+
     def test_eval_subcommand(self, capsys):
         assert cli_main(["eval", "--est", "48,90", "--truth", "50", "--T", "100"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from graphon_cpd import cpd
 from graphon_cpd.cliio import report_to_dict
 from graphon_cpd.cpd import (
     DetectorParams,
@@ -13,9 +14,30 @@ from graphon_cpd.cpd import (
     scan_profile,
     threshold_value,
 )
-from graphon_cpd.estim import mnbs_estimate
+from graphon_cpd.estim import mnbs_estimate, mnbs_from_average
 from graphon_cpd.genmodels import ScenarioSpec, sample_snapshot, sbm_matrix, scenario_sequence, snapshot_rng
-from graphon_cpd.netcore import dist_2inf
+from graphon_cpd.netcore import average_adjacency, dist_2inf
+
+
+def window_scan(seq, params):
+    """The scan as one fresh average per window, every estimate kept."""
+    T, h = len(seq), params.h
+    estimates = [
+        mnbs_from_average(average_adjacency(seq, s + 1, s + h), h, params.b0)
+        for s in range(T - h + 1)
+    ]
+    return np.array([dist_2inf(estimates[t - h], estimates[t]) ** 2 for t in range(h, T - h + 1)])
+
+
+# Every dtype as_adjacency_sequence accepts for 0/1 snapshots.
+DTYPES = {
+    "bool": lambda seq: seq.astype(bool),
+    "uint8": lambda seq: seq.astype(np.uint8),
+    "int8": lambda seq: seq,
+    "float": lambda seq: seq.astype(float),
+    "negzero": lambda seq: np.where(seq == 0, -0.0, 1.0),
+    "object": lambda seq: seq.astype(object),
+}
 
 
 def profile_from(values, h, T):
@@ -87,6 +109,52 @@ class TestScanProfile:
             left = mnbs_estimate(seq, t - 2, t, params.b0)
             right = mnbs_estimate(seq, t + 1, t + 3, params.b0)
             assert profile.value_at(t) == dist_2inf(left, right) ** 2
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    @pytest.mark.parametrize("dtype", list(DTYPES))
+    def test_matches_window_scan_bytes(self, monkeypatch, dtype, threads):
+        monkeypatch.setenv("GRAPHON_CPD_THREADS", str(threads))
+        blocks = []
+        original = cpd.ordered_map
+
+        def spy(fn, items):
+            items = list(items)
+            blocks.append(len(items))
+            return original(fn, items)
+
+        monkeypatch.setattr(cpd, "ordered_map", spy)
+        seq, _ = scenario_sequence(ScenarioSpec(id="DSBM-I", n=12, T=24, seed=5))
+        # T = 2h and T = 2h + 1 (W // h = 1, one block), blocks of exactly h
+        # windows, blocks of unequal sizes, fewer blocks than threads, h = 1.
+        for h, T in [(3, 6), (3, 7), (5, 14), (3, 15), (4, 24), (2, 11), (1, 10)]:
+            params = DetectorParams(h=h)
+            part = DTYPES[dtype](seq[:T])
+            values = scan_profile(part, params).values
+            assert values.tobytes() == window_scan(part, params).tobytes()
+            assert blocks.pop() == max(1, min(threads, (T - h + 1) // h))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_scan_memory_flat_in_T(self, monkeypatch, threads):
+        # Validation's own T·n² temporaries are left out of the measured peak.
+        monkeypatch.setenv("GRAPHON_CPD_THREADS", threads)
+        original = cpd.as_adjacency_sequence
+
+        def validated(arr):
+            seq = original(arr)
+            tracemalloc.reset_peak()
+            return seq
+
+        monkeypatch.setattr(cpd, "as_adjacency_sequence", validated)
+        peaks = {}
+        for T in (200, 800):
+            seq, _ = scenario_sequence(ScenarioSpec(id="MDSBM-I", n=30, T=T, seed=1))
+            tracemalloc.start()
+            try:
+                scan_profile(seq, DetectorParams(h=20))
+                peaks[T] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[800] < 1.25 * peaks[200]
 
     def test_peak_memory_is_the_estimates(self, monkeypatch):
         # No per-snapshot buffer: the T - h + 1 float64 estimates dominate.
@@ -166,11 +234,20 @@ class TestDetect:
         assert np.array_equal(a.scan.values, b.scan.values)
         assert a.changepoints == b.changepoints
 
-    def test_accepts_nested_lists(self, dsbm_instance):
+    def test_accepts_nested_lists(self, dsbm_instance, monkeypatch):
         seq, _ = dsbm_instance
         params = default_params(36, 40)
         expected = report_to_dict(detect(seq, params))
+        seen = []
+        original = cpd.as_adjacency_sequence
+
+        def spy(arr):
+            seen.append(type(arr))
+            return original(arr)
+
+        monkeypatch.setattr(cpd, "as_adjacency_sequence", spy)
         assert report_to_dict(detect(seq.tolist(), params)) == expected
+        assert seen == [np.ndarray]  # the list is converted once
 
     def test_min_segment_warning(self, dsbm_instance):
         seq, _ = dsbm_instance
