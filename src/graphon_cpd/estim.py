@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from ._parallel import one_blas_thread
 from .netcore import average_adjacency
 
 # Floats in a pairwise_distance row tile: 1 MiB stays in cache (1 row from n=257).
@@ -24,7 +25,10 @@ def pairwise_distance(abar: np.ndarray) -> np.ndarray:
     n = abar.shape[0]
     if n < 3:
         raise ValueError("need n >= 3 so the max over k != i, i' is nonempty")
-    g = abar @ abar / n
+    # One BLAS thread: the window pool is the only parallel level, and the
+    # bits of G, which pick the neighbours, do not depend on BLAS threads.
+    with one_blas_thread:
+        g = abar @ abar / n
     dist = np.empty((n, n))
     rows = min(n, max(1, _CHUNK_FLOATS // (n * n)))
     buf = np.empty((rows, n, n))

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# Entries per block of snapshots that as_adjacency_sequence checks at a time.
+_CHECK_ENTRIES = 2**20
+
 
 def as_adjacency_sequence(arr) -> np.ndarray:
     """Validate and return a (T, n, n) array of symmetric binary snapshots."""
@@ -18,9 +21,14 @@ def as_adjacency_sequence(arr) -> np.ndarray:
         raise ValueError(f"expected shape (T, n, n), got {seq.shape}")
     if seq.shape[0] < 1:
         raise ValueError("need at least one snapshot")
-    if not ((seq == 0) | (seq == 1)).all():
+    # Blocks of snapshots keep the bool temporaries near _CHECK_ENTRIES, not
+    # the input's size; all blocks pass the 0/1 test before any is checked
+    # for symmetry, so the verdict is that of the whole array.
+    step = max(1, _CHECK_ENTRIES // max(1, seq.shape[1] ** 2))
+    blocks = [seq[s : s + step] for s in range(0, seq.shape[0], step)]
+    if not all(((b == 0) | (b == 1)).all() for b in blocks):
         raise ValueError("adjacency entries must be 0 or 1")
-    if not (seq == seq.transpose(0, 2, 1)).all():
+    if not all((b == b.transpose(0, 2, 1)).all() for b in blocks):
         raise ValueError("snapshots must be symmetric")
     return seq
 

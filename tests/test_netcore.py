@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from graphon_cpd import netcore
 from graphon_cpd.netcore import (
     as_adjacency_sequence,
     average_adjacency,
@@ -117,3 +120,29 @@ class TestSequenceValidation:
     ], ids=["int8", "bool", "signed zero", "complex", "object", "empty"])
     def test_accepts_valid(self, seq):
         assert as_adjacency_sequence(seq).shape == seq.shape
+
+    @pytest.mark.parametrize("entries", [1, 9, 18])
+    def test_blocks_keep_verdicts(self, monkeypatch, entries):
+        # Blocks of 1 or 2 snapshots: an asymmetric first snapshot and a
+        # nonbinary last one still give the whole array's verdict.
+        monkeypatch.setattr(netcore, "_CHECK_ENTRIES", entries)
+        seq = np.stack([ring(3)] * 3)
+        seq[0, 0, 2] = 0
+        with pytest.raises(ValueError, match="must be symmetric"):
+            as_adjacency_sequence(seq)
+        seq[2, 0, 1] = seq[2, 1, 0] = 2
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            as_adjacency_sequence(seq)
+        assert as_adjacency_sequence(np.stack([ring(3)] * 3)).shape == (3, 3, 3)
+
+    def test_validation_memory_is_a_block(self):
+        # Checking the whole array at once builds two bool temporaries of the
+        # input's size: a 20 MB peak for this 10 MB input.
+        seq = np.stack([ring(100)] * 1000)
+        tracemalloc.start()
+        try:
+            as_adjacency_sequence(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < seq.nbytes / 4
