@@ -281,8 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _detector_params(args, T: int, n: int) -> DetectorParams:
-    base = default_params(T, n)
-    h = args.h if args.h is not None else base.h
+    h = args.h if args.h is not None else default_params(T, n).h
     if 2 * h > T:
         raise UsageError(f"need 2h <= T, got h={h}, T={T}")
     return DetectorParams(h=h, b0=args.B0, d0=args.D0, delta0=args.delta0)

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import ordered_map, thread_count
+from ._parallel import ordered_map
 from .estim import mnbs_from_average
-from .netcore import as_adjacency_sequence, dist_2inf
+from .netcore import as_adjacency_sequence, average_adjacency, dist_2inf
 
 
 @dataclass(frozen=True)
@@ -74,11 +73,10 @@ def threshold_value(n: int, params: DetectorParams) -> float:
 def scan_profile(seq: np.ndarray, params: DetectorParams) -> ScanProfile:
     """Scan statistic D(t, h) for t = h, ..., T - h.
 
-    The T - h + 1 length-h windows are split into contiguous blocks of at
-    least h windows, one per worker. A block keeps running window counts and
-    a ring of its last h + 1 estimates, so memory does not grow with T. The
-    h scan points at each seam between blocks are computed here from the
-    last h estimates of one block and the first h of the next.
+    D(t, h) compares only the windows that start at t - h and at t, so the
+    scan splits into h chains of windows first, first + h, ... (first < h),
+    one task each. A chain keeps only its previous estimate, so a worker
+    holds at most two estimates at a time, whatever T and h.
     """
     seq = as_adjacency_sequence(seq)
     T, n = seq.shape[0], seq.shape[1]
@@ -87,36 +85,21 @@ def scan_profile(seq: np.ndarray, params: DetectorParams) -> ScanProfile:
         raise ValueError(f"need 2h <= T, got h={h}, T={T}")
     if n < 3:
         raise ValueError("require n >= 3")
-    windows = T - h + 1
-    blocks = max(1, min(thread_count(), windows // h))
-    bounds = [windows * b // blocks for b in range(blocks + 1)]
 
-    def scan_block(block: int) -> tuple[list, list[float], list]:
-        lo, hi = bounds[block], bounds[block + 1]
-        # 0/1 entries keep the float64 counts exact integers, so counts / h has
-        # the bits of a fresh window sum divided by h. The unsafe casting lets
-        # object input in, as the fresh sum's dtype=float does.
-        counts = np.add.reduce(seq[lo : lo + h], axis=0, dtype=float)
-        ring: deque[np.ndarray] = deque(maxlen=h + 1)
+    def scan_chain(first: int) -> list[float]:
         values = []
-        for start in range(lo, hi):
-            if start > lo:
-                np.add(counts, seq[start + h - 1], out=counts, casting="unsafe")
-                np.subtract(counts, seq[start - 1], out=counts, casting="unsafe")
-            ring.append(mnbs_from_average(counts / h, h, params.b0))
-            if start == lo + h - 1:
-                head = list(ring)
-            if len(ring) > h:
-                values.append(dist_2inf(ring[0], ring[-1]) ** 2)
-        return head, values, list(ring)[-h:]
+        before = None
+        for start in range(first, T - h + 1, h):
+            after = mnbs_from_average(average_adjacency(seq, start + 1, start + h), h, params.b0)
+            if before is not None:
+                values.append(dist_2inf(before, after) ** 2)
+            before = after
+        return values
 
-    parts = ordered_map(scan_block, range(blocks))
-    values = []
-    for (_, inner, tail), (head, _, _) in zip(parts, parts[1:]):
-        values += inner
-        values += [dist_2inf(p, q) ** 2 for p, q in zip(tail, head)]
-    values += parts[-1][1]
-    return ScanProfile(T=T, h=h, ts=np.arange(h, T - h + 1), values=np.array(values))
+    values = np.empty(T - 2 * h + 1)
+    for first, chain in enumerate(ordered_map(scan_chain, range(h))):
+        values[first::h] = chain
+    return ScanProfile(T=T, h=h, ts=np.arange(h, T - h + 1), values=values)
 
 
 def local_maximizers(profile: ScanProfile) -> list[int]:

@@ -120,7 +120,10 @@ def musvt_estimate(abar: np.ndarray, window: int, eta: float = 0.01) -> np.ndarr
         raise ValueError("eta must be in (0, 1)")
     abar = np.asarray(abar, dtype=float)
     n = abar.shape[0]
-    evals, evecs = np.linalg.eigh(abar)
-    keep = np.abs(evals) >= (2 + eta) * math.sqrt(n / window)
-    recon = (evecs[:, keep] * evals[keep]) @ evecs[:, keep].T
+    # One BLAS thread, so the bits of eigh and the product do not depend on
+    # OPENBLAS_NUM_THREADS.
+    with one_blas_thread:
+        evals, evecs = np.linalg.eigh(abar)
+        keep = np.abs(evals) >= (2 + eta) * math.sqrt(n / window)
+        recon = (evecs[:, keep] * evals[keep]) @ evecs[:, keep].T
     return np.clip(recon, 0.0, 1.0)

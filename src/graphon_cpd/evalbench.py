@@ -90,10 +90,6 @@ def signal_level(scenario: str, n: int, T: int) -> list[tuple[float, float]]:
     raise ValueError(f"no analytic signal level for {scenario!r}")
 
 
-def min_signal_level(scenario: str, n: int, T: int) -> float:
-    return min(pair[0] for pair in signal_level(scenario, n, T))
-
-
 def monte_carlo(
     spec: ScenarioSpec, reps: int, params: DetectorParams | None = None
 ) -> BenchRow:

@@ -273,6 +273,16 @@ class TestCli:
             assert cli_main(command) == 1
             assert capsys.readouterr().err == "error: need 2h <= T, got h=9, T=16\n"
 
+    def test_detect_given_h_skips_default_check(self, tmp_path, capsys):
+        # T = 3 is too short for the default h = floor(sqrt(T)), not for --h 1.
+        edges = tmp_path / "edges.csv"
+        edges.write_text("t,i,j\n0,0,1\n1,1,2\n2,0,2\n")
+        out = tmp_path / "report.json"
+        assert cli_main(["detect", str(edges), "--h", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads(out.read_text())
+        assert (payload["h"], payload["T"], payload["changepoints"]) == (1, 3, [])
+
     @pytest.mark.parametrize("threads", ["abc", "-1"])
     def test_bad_thread_setting_is_usage_error(self, monkeypatch, capsys, threads):
         monkeypatch.setenv("GRAPHON_CPD_THREADS", threads)

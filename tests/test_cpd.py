@@ -114,24 +114,25 @@ class TestScanProfile:
     @pytest.mark.parametrize("dtype", list(DTYPES))
     def test_matches_window_scan_bytes(self, monkeypatch, dtype, threads):
         monkeypatch.setenv("GRAPHON_CPD_THREADS", str(threads))
-        blocks = []
+        calls = []
         original = cpd.ordered_map
 
         def spy(fn, items):
             items = list(items)
-            blocks.append(len(items))
+            calls.append(items)
             return original(fn, items)
 
         monkeypatch.setattr(cpd, "ordered_map", spy)
         seq, _ = scenario_sequence(ScenarioSpec(id="DSBM-I", n=12, T=24, seed=5))
-        # T = 2h and T = 2h + 1 (W // h = 1, one block), blocks of exactly h
-        # windows, blocks of unequal sizes, fewer blocks than threads, h = 1.
+        # T = 2h and T = 2h + 1 (chains with one window and no value), chains
+        # of equal and of unequal lengths, fewer chains than threads, h = 1.
         for h, T in [(3, 6), (3, 7), (5, 14), (3, 15), (4, 24), (2, 11), (1, 10)]:
             params = DetectorParams(h=h)
             part = DTYPES[dtype](seq[:T])
             values = scan_profile(part, params).values
             assert values.tobytes() == window_scan(part, params).tobytes()
-            assert blocks.pop() == max(1, min(threads, (T - h + 1) // h))
+            assert calls == [list(range(h))]
+            calls.clear()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_scan_memory_flat_in_T(self, monkeypatch, threads):
@@ -155,6 +156,28 @@ class TestScanProfile:
             finally:
                 tracemalloc.stop()
         assert peaks[800] < 1.25 * peaks[200]
+
+    def test_scan_memory_flat_in_h(self, monkeypatch):
+        # One chain holds one or two estimates, however long its windows.
+        monkeypatch.setenv("GRAPHON_CPD_THREADS", "1")
+        original = cpd.as_adjacency_sequence
+
+        def validated(arr):
+            seq = original(arr)
+            tracemalloc.reset_peak()
+            return seq
+
+        monkeypatch.setattr(cpd, "as_adjacency_sequence", validated)
+        seq, _ = scenario_sequence(ScenarioSpec(id="MDSBM-I", n=30, T=400, seed=1))
+        peaks = {}
+        for h in (5, 40):
+            tracemalloc.start()
+            try:
+                scan_profile(seq, DetectorParams(h=h))
+                peaks[h] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[40] < 1.25 * peaks[5]
 
     def test_peak_memory_is_the_estimates(self, monkeypatch):
         # No per-snapshot buffer: the T - h + 1 float64 estimates dominate.

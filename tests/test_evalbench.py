@@ -8,7 +8,6 @@ from graphon_cpd.cpd import DetectorParams
 from graphon_cpd.evalbench import (
     BenchRow,
     boysen,
-    min_signal_level,
     monte_carlo,
     signal_level,
 )
@@ -90,10 +89,6 @@ class TestSignalLevel:
         (d2, df), = signal_level(sid, n, T)
         assert dist_2inf(p1, p2) ** 2 == pytest.approx(d2, rel=10 / n)
         assert dist_frob(p1, p2) ** 2 == pytest.approx(df, rel=10 / n)
-
-    def test_min_signal(self):
-        levels = signal_level("MDSBM-I", 50, 100)
-        assert min_signal_level("MDSBM-I", 50, 100) == min(x for x, _ in levels)
 
 
 class TestMonteCarlo:

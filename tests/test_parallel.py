@@ -130,18 +130,20 @@ def test_without_openblas_is_a_no_op(monkeypatch):
 BITS = """
 import hashlib
 import numpy as np
-from graphon_cpd import ScenarioSpec, mnbs_estimate, scenario_sequence
+from graphon_cpd import (ScenarioSpec, average_adjacency, mnbs_estimate, musvt_estimate,
+                         scenario_sequence)
 from graphon_cpd.cpd import DetectorParams, scan_profile
 seq, _ = scenario_sequence(ScenarioSpec(id="DSBM-I", n=300, T=12, seed=1))
 estimate = mnbs_estimate(seq, 1, 3)
 values = np.asarray(scan_profile(seq, DetectorParams(h=3)).values)
-print(hashlib.sha256(estimate.tobytes() + values.tobytes()).hexdigest())
+spectral = musvt_estimate(average_adjacency(seq, 1, 10), 10)
+print(hashlib.sha256(estimate.tobytes() + values.tobytes() + spectral.tobytes()).hexdigest())
 """
 
 
 def test_bits_independent_of_openblas_threads():
-    # At n = 300 OpenBLAS splits the G = Abar² product across its threads,
-    # which changes the last bits of G and with them the neighbour sets.
+    # At n = 300 OpenBLAS splits the G = Abar² product and musvt's eigh across
+    # its threads, which changes their last bits (and G's neighbour sets).
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = set()
