@@ -18,6 +18,12 @@ from ._parallel import ordered_map
 from .estim import mnbs_from_average
 from .netcore import as_adjacency_sequence, average_adjacency, dist_2inf
 
+# A scan chain estimates its windows B at a time, B·n² <= 2**14 floats per
+# stack (B = 1 from n = 91): a larger budget raised peak RSS at n = 100. The
+# cap of 8 keeps a short chain's scan memory that of a long one.
+_BATCH_FLOATS = 2**14
+_MAX_BATCH = 8
+
 
 @dataclass(frozen=True)
 class DetectorParams:
@@ -75,8 +81,10 @@ def scan_profile(seq: np.ndarray, params: DetectorParams) -> ScanProfile:
 
     D(t, h) compares only the windows that start at t - h and at t, so the
     scan splits into h chains of windows first, first + h, ... (first < h),
-    one task each. A chain keeps only its previous estimate, so a worker
-    holds at most two estimates at a time, whatever T and h.
+    one task each. A chain estimates its windows as stacks of B (see
+    _BATCH_FLOATS), a few long numpy calls per stack, and keeps only the
+    last estimate of the stack before; a worker holds at most two stacks of
+    estimates at a time, whatever T and h.
     """
     seq = as_adjacency_sequence(seq)
     T, n = seq.shape[0], seq.shape[1]
@@ -85,15 +93,19 @@ def scan_profile(seq: np.ndarray, params: DetectorParams) -> ScanProfile:
         raise ValueError(f"need 2h <= T, got h={h}, T={T}")
     if n < 3:
         raise ValueError("require n >= 3")
+    batch = max(1, min(_MAX_BATCH, _BATCH_FLOATS // (n * n)))
 
     def scan_chain(first: int) -> list[float]:
+        starts = range(first, T - h + 1, h)
         values = []
         before = None
-        for start in range(first, T - h + 1, h):
-            after = mnbs_from_average(average_adjacency(seq, start + 1, start + h), h, params.b0)
-            if before is not None:
-                values.append(dist_2inf(before, after) ** 2)
-            before = after
+        for lo in range(0, len(starts), batch):
+            abars = np.stack([average_adjacency(seq, s + 1, s + h) for s in starts[lo : lo + batch]])
+            for after in mnbs_from_average(abars, h, params.b0):
+                if before is not None:
+                    # A Python float squared: numpy's square differs in the last bit.
+                    values.append(dist_2inf(before, after) ** 2)
+                before = after
         return values
 
     values = np.empty(T - 2 * h + 1)

@@ -14,51 +14,75 @@ import numpy as np
 from ._parallel import one_blas_thread
 from .netcore import average_adjacency
 
-# Floats in a pairwise_distance row tile: 1 MiB stays in cache (1 row from n=257).
+# A pairwise_distance chunk compares a block of rows of G, at least
+# _RUN_FLOATS floats (64 KiB) so that each subtraction runs long, with their
+# partners at as many offsets as fit in _CHUNK_FLOATS floats (1 MiB, in cache).
+_RUN_FLOATS = 2**13
 _CHUNK_FLOATS = 2**17
 
 
 def pairwise_distance(abar: np.ndarray) -> np.ndarray:
     """Node distance matrix: D[i, i'] = max_{k != i, i'} |G[i,k] - G[i',k]|,
-    where G = abar @ abar / n. Diagonal is 0."""
+    where G = abar @ abar / n. Diagonal is 0.
+
+    abar may be one (n, n) matrix or a stack (..., n, n); each slice of the
+    result has the bits of its own 2-D call. For each offset d = 1 .. n // 2
+    row r of G is compared with row (r + d) mod n, which covers every pair
+    once (twice at d = n / 2 for even n). A block of rows and their partners
+    at one offset are contiguous runs of G and of G followed by its first
+    n // 2 rows, so every subtraction streams whole blocks of rows."""
     abar = np.asarray(abar, dtype=float)
-    n = abar.shape[0]
+    n = abar.shape[-1]
     if n < 3:
         raise ValueError("need n >= 3 so the max over k != i, i' is nonempty")
     # One BLAS thread: the window pool is the only parallel level, and the
     # bits of G, which pick the neighbours, do not depend on BLAS threads.
     with one_blas_thread:
-        g = abar @ abar / n
-    dist = np.empty((n, n))
-    rows = min(n, max(1, _CHUNK_FLOATS // (n * n)))
-    buf = np.empty((rows, n, n))
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        # Only columns i' >= s; the rest is mirrored, as |x-y| == |y-x| exactly.
-        # Zeroing k = i and k = i' cannot raise a max of absolute values.
-        diff = buf[: e - s, : n - s]
-        np.subtract(g[s:e, None, :], g[None, s:, :], out=diff)
-        np.abs(diff, out=diff)
-        diff[np.arange(e - s), :, np.arange(s, e)] = 0.0
-        diff[:, np.arange(n - s), np.arange(s, n)] = 0.0
-        np.max(diff, axis=2, out=dist[s:e, s:])
-        dist[e:, s:e] = dist[s:e, e:].T
-    np.fill_diagonal(dist, 0.0)
-    return dist
+        g = (abar @ abar / n).reshape(-1, n, n)
+    # shifted[b, d, r] is row (r + d) mod n of g[b], for 0 <= d <= n // 2.
+    shifted = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([g, g[:, : n // 2]], axis=1), n, axis=1
+    ).swapaxes(2, 3)
+    dist = np.zeros(g.shape)
+    block = -(-n // max(1, n * n // _RUN_FLOATS))  # rows, in blocks of near-equal size
+    step = min(n // 2, max(1, _CHUNK_FLOATS // (len(g) * block * n)))
+    buf = np.empty(len(g) * step * block * n)
+    for first in range(0, n, block):
+        last = min(first + block, n)
+        rows = np.arange(first, last)
+        for lo in range(1, n // 2 + 1, step):
+            hi = min(lo + step, n // 2 + 1)
+            partners = (rows + np.arange(lo, hi)[:, None]) % n
+            diff = buf[: len(g) * partners.size * n].reshape(len(g), hi - lo, last - first, n)
+            np.subtract(g[:, None, first:last], shifted[:, lo:hi, first:last], out=diff)
+            # Zeroing k = r and k = r + d cannot raise a max of absolute values;
+            # |x-y| == |y-x| exactly, so one max serves both orders of the pair.
+            at = (np.arange(hi - lo) * (last - first) * n)[:, None] + (rows - first) * n
+            flat = diff.reshape(len(g), -1)
+            flat[:, at + rows] = 0.0
+            flat[:, at + partners] = 0.0
+            np.abs(diff, out=diff)
+            far = np.max(diff, axis=3)
+            dist[:, rows, partners] = far
+            dist[:, partners, rows] = far
+    return dist.reshape(abar.shape)
 
 
-def neighborhoods(dist: np.ndarray, q: float) -> list[np.ndarray]:
-    """Per-node neighbor sets from the lower empirical q-quantile of each
-    node's distances to the other nodes. Ties at the cutoff are included,
-    so every set has at least max(1, ceil(q * (n - 1))) members."""
+def neighborhoods(dist: np.ndarray, q: float) -> np.ndarray:
+    """Neighbour mask from the lower empirical q-quantile of each node's
+    distances to the other nodes: mask[i, j] is whether node j is in node
+    i's set. Ties at the cutoff are included, so every row has at least
+    max(1, ceil(q * (n - 1))) members, and never node i itself. A stack
+    (..., n, n) of distance matrices gives the stack of their masks."""
     if not 0 < q <= 1:
         raise ValueError("q must be in (0, 1]")
     d = np.array(dist, dtype=float)
-    m = max(1, math.ceil(q * (len(d) - 1)))
+    n = d.shape[-1]
+    m = max(1, math.ceil(q * (n - 1)))
     # Node i's own NaN sorts last in np.partition and fails <=, whatever else.
-    np.fill_diagonal(d, np.nan)
-    cutoff = np.partition(d, m - 1, axis=1)[:, m - 1]
-    return [np.flatnonzero(row) for row in d <= cutoff[:, None]]
+    d[..., np.arange(n), np.arange(n)] = np.nan
+    cutoff = np.partition(d, m - 1, axis=-1)[..., m - 1]
+    return d <= cutoff[..., None]
 
 
 def mnbs_q(n: int, omega: float, b0: float) -> float:
@@ -68,28 +92,33 @@ def mnbs_q(n: int, omega: float, b0: float) -> float:
     return min(1.0, b0 * math.log(n) / (math.sqrt(n) * omega))
 
 
-def mnbs_smooth(abar: np.ndarray, nbhd: list[np.ndarray]) -> np.ndarray:
-    """Average rows of abar over each node's neighbor set, then symmetrize."""
+def mnbs_smooth(abar: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Average rows of abar over each node's neighbours, then symmetrize.
+
+    mask is a boolean neighbour mask of abar's shape, as from neighborhoods.
+    Members are added one at a time in ascending order, so a stack
+    (..., n, n) gives each slice the bits of its own 2-D call."""
     abar = np.asarray(abar, dtype=float)
-    n = abar.shape[0]
-    if len(nbhd) != n:
-        raise ValueError("neighbor sets do not match matrix size")
-    sizes = np.array([len(members) for members in nbhd])
+    mask = np.asarray(mask)
+    n = abar.shape[-1]
+    if abar.shape[-2:] != (n, n) or mask.shape != abar.shape or mask.dtype != bool:
+        raise ValueError("neighbor sets must be a boolean mask of the matrix's shape")
+    sizes = mask.sum(axis=-1)
     if (sizes == 0).any():
-        raise ValueError(f"empty neighborhood for node {np.argmin(sizes)}")
-    members = np.concatenate(nbhd)
-    if members.dtype.kind not in "iu" or members.min() < 0 or members.max() >= n:
-        raise IndexError("neighbor indices must be integers in [0, n)")
-    # Row i: node i's sorted members, padded with n: a row of -0.0, as x + -0.0 == x.
-    key = np.repeat(np.arange(n) * n, sizes) + members
-    idx = np.full((n, sizes.max()), n)
-    idx[np.arange(sizes.max()) < sizes[:, None]] = np.sort(key) % n
-    padded = np.vstack([abar, np.full((1, n), -0.0)])
-    raw = np.full((n, n), -0.0)
-    for column in idx.T:
-        raw += padded[column]
-    raw /= sizes[:, None]
-    return (raw + raw.T) / 2
+        raise ValueError(f"empty neighborhood for node {np.argmin(sizes) % n}")
+    # Row i: node i's members in ascending order, padded with n: a row of
+    # -0.0, as x + -0.0 == x. Slice b's rows start at b * (n + 1) in `rows`.
+    stack = abar.reshape(-1, n, n)
+    width = sizes.max()
+    idx = np.full(sizes.shape + (width,), n)
+    idx[np.arange(width) < sizes[..., None]] = np.flatnonzero(mask) % n
+    idx = idx.reshape(len(stack), n, width) + np.arange(len(stack))[:, None, None] * (n + 1)
+    rows = np.concatenate([stack, np.full((len(stack), 1, n), -0.0)], axis=1).reshape(-1, n)
+    raw = np.full(stack.shape, -0.0)
+    for column in np.moveaxis(idx, -1, 0):
+        raw += rows[column]
+    raw /= sizes.reshape(len(stack), n, 1)
+    return ((raw + raw.swapaxes(1, 2)) / 2).reshape(abar.shape)
 
 
 def smoothing_bandwidth(n: int, window: int) -> float:
@@ -98,11 +127,11 @@ def smoothing_bandwidth(n: int, window: int) -> float:
 
 
 def mnbs_from_average(abar: np.ndarray, window: int, b0: float) -> np.ndarray:
-    """Neighborhood-smoothing estimate given a precomputed window average."""
-    n = abar.shape[0]
+    """Neighborhood-smoothing estimate given a precomputed window average,
+    or a stack (..., n, n) of averages over windows of the same length."""
+    n = abar.shape[-1]
     q = mnbs_q(n, smoothing_bandwidth(n, window), b0)
-    nbhd = neighborhoods(pairwise_distance(abar), q)
-    return mnbs_smooth(abar, nbhd)
+    return mnbs_smooth(abar, neighborhoods(pairwise_distance(abar), q))
 
 
 def mnbs_estimate(seq: np.ndarray, t_from: int, t_to: int, b0: float = 3.0) -> np.ndarray:

@@ -219,7 +219,8 @@ def test_criterion_8_oracle_equivalence(report):
         if not np.array_equal(d, brute_pairwise(abar)):
             mismatches.append(f"pairwise rep {rep}")
         nbhd = neighborhoods(d, float(rng.uniform(0.1, 1.0)))
-        if not np.array_equal(mnbs_smooth(abar, nbhd), brute_smooth(abar, nbhd)):
+        members = [np.flatnonzero(row) for row in nbhd]
+        if not np.array_equal(mnbs_smooth(abar, nbhd), brute_smooth(abar, members)):
             mismatches.append(f"smooth rep {rep}")
 
         h = int(rng.integers(1, 4))

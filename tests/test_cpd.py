@@ -134,6 +134,25 @@ class TestScanProfile:
             assert calls == [list(range(h))]
             calls.clear()
 
+    # n = 61 is odd and estimates 4 windows per call, so h = 1, 2 and 17 end
+    # chains mid-batch at different windows; n = 100 estimates one at a time.
+    @pytest.mark.parametrize(
+        "sid, n, T, h",
+        [
+            ("MDSBM-I", 61, 300, 1),
+            ("MDSBM-I", 61, 300, 2),
+            ("MDSBM-I", 61, 300, 17),
+            ("DSBM-IV", 100, 100, 10),
+        ],
+    )
+    def test_matches_window_scan_at_batch_boundaries(self, monkeypatch, sid, n, T, h):
+        seq, _ = scenario_sequence(ScenarioSpec(id=sid, n=n, T=T, seed=3))
+        params = DetectorParams(h=h)
+        expected = window_scan(seq, params).tobytes()
+        for threads in ("1", "2"):
+            monkeypatch.setenv("GRAPHON_CPD_THREADS", threads)
+            assert scan_profile(seq, params).values.tobytes() == expected
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_scan_memory_flat_in_T(self, monkeypatch, threads):
         # Validation's own T·n² temporaries are left out of the measured peak.

@@ -44,6 +44,19 @@ def loop_neighborhoods(dist, q):
     return nbhd
 
 
+def members(mask):
+    """Each node's neighbours as a sorted index array."""
+    return [np.flatnonzero(row) for row in mask]
+
+
+def mask_of(nbhd, n):
+    """The boolean neighbour mask of per-node member lists."""
+    mask = np.zeros((n, n), dtype=bool)
+    for i, row in enumerate(nbhd):
+        mask[i, np.asarray(row, dtype=int)] = True
+    return mask
+
+
 def sequential_smooth(abar, nbhd):
     """Row sums adding the sorted member rows one at a time."""
     n = abar.shape[0]
@@ -104,13 +117,13 @@ class TestPairwiseDistance:
             abar = (abar + abar.T) / 2
             assert np.array_equal(pairwise_distance(abar), brute_pairwise_distance(abar))
 
-    # rows * n^2 + extra floats: 1-row tiles, then 2-row tiles with a ragged
-    # last tile for odd n, then 3-row tiles, ragged at n = 7.
+    # offsets * n^2 + extra floats: chunks of 1 offset, then of 2 with a
+    # ragged last chunk at n = 7, then of 3, ragged at n = 9 (n // 2 offsets).
     @pytest.mark.parametrize("n", [3, 7, 9])
-    @pytest.mark.parametrize("rows, extra", [(0, 1), (2, 0), (3, 1)])
+    @pytest.mark.parametrize("offsets, extra", [(0, 1), (2, 0), (3, 1)])
     @pytest.mark.parametrize("make", [uniform_matrix, block_matrix])
-    def test_tiles_match_brute_force(self, monkeypatch, n, rows, extra, make):
-        monkeypatch.setattr(estim, "_CHUNK_FLOATS", rows * n * n + extra)
+    def test_tiles_match_brute_force(self, monkeypatch, n, offsets, extra, make):
+        monkeypatch.setattr(estim, "_CHUNK_FLOATS", offsets * n * n + extra)
         rng = np.random.default_rng(n)
         for _ in range(5):
             abar = make(rng, n)
@@ -119,21 +132,36 @@ class TestPairwiseDistance:
             assert np.array_equal(d, d.T)
             assert (np.diag(d) == 0).all()
 
+    # Blocks of 1 row, or of 3 rows at n = 7 and 2 at n = 9 (both ragged),
+    # against chunks of 1 offset, of 3 (ragged at n = 9 for 1-row blocks)
+    # or of all n // 2.
+    @pytest.mark.parametrize("n", [7, 9])
+    @pytest.mark.parametrize("run", [1, 15])
+    @pytest.mark.parametrize("chunk", [1, 27, 2**17])
+    @pytest.mark.parametrize("make", [uniform_matrix, block_matrix])
+    def test_row_blocks_match_brute_force(self, monkeypatch, n, run, chunk, make):
+        monkeypatch.setattr(estim, "_RUN_FLOATS", run)
+        monkeypatch.setattr(estim, "_CHUNK_FLOATS", chunk)
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            abar = make(rng, n)
+            assert np.array_equal(pairwise_distance(abar), brute_pairwise_distance(abar))
+
 
 class TestNeighborhoods:
     def test_full_quantile(self):
         dist = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
-        nbhd = neighborhoods(dist, 1.0)
-        for i, members in enumerate(nbhd):
-            assert len(members) == 3
-            assert i not in members
+        nbhd = members(neighborhoods(dist, 1.0))
+        for i, row in enumerate(nbhd):
+            assert len(row) == 3
+            assert i not in row
 
     def test_quantile_rule_enumeration(self):
         dist = np.zeros((4, 4))
         dist[0, 1:] = dist[1:, 0] = [0.1, 0.5, 0.9]
         dist[1, 2:] = dist[2:, 1] = [0.2, 0.3]
         dist[2, 3] = dist[3, 2] = 0.4
-        nbhd = neighborhoods(dist, 0.3)  # m = max(1, ceil(0.9)) = 1
+        nbhd = members(neighborhoods(dist, 0.3))  # m = max(1, ceil(0.9)) = 1
         assert list(nbhd[0]) == [1]
 
     def test_scale_invariance(self):
@@ -143,13 +171,13 @@ class TestNeighborhoods:
         np.fill_diagonal(dist, 0.0)
         a = neighborhoods(dist, 0.4)
         b = neighborhoods(dist * 17.5, 0.4)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert a.dtype == bool and np.array_equal(a, b)
 
     def test_ties_included(self):
         dist = np.ones((4, 4))
         np.fill_diagonal(dist, 0.0)
-        nbhd = neighborhoods(dist, 0.25)
-        assert all(len(members) == 3 for members in nbhd)
+        nbhd = members(neighborhoods(dist, 0.25))
+        assert all(len(row) == 3 for row in nbhd)
 
     @pytest.mark.parametrize("q", [1e-9, 0.2, 0.5, 1.0])  # 1e-9 gives m = 1
     @pytest.mark.parametrize("make", [uniform_matrix, block_matrix])
@@ -162,7 +190,7 @@ class TestNeighborhoods:
             unbounded = np.where(rng.random((n, n)) < 0.3, np.inf, dist)
             unbounded[rng.random((n, n)) < 0.2] = np.nan
             for d in (dist, np.round(dist, 2), unbounded):
-                got, want = neighborhoods(d, q), loop_neighborhoods(d, q)
+                got, want = members(neighborhoods(d, q)), loop_neighborhoods(d, q)
                 assert len(got) == n
                 assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
@@ -192,31 +220,40 @@ class TestMnbsQ:
 class TestMnbsSmooth:
     def test_constant_fixed_point(self):
         abar = np.full((4, 4), 0.37)
-        nbhd = [np.array([j for j in range(4) if j != i]) for i in range(4)]
+        nbhd = ~np.eye(4, dtype=bool)
         assert np.allclose(mnbs_smooth(abar, nbhd), abar, atol=1e-15)
 
     def test_block_constant_fixed_point(self):
         p = sbm_matrix("SBM-I", 6)
-        nbhd = [
-            np.array([j for j in range(6) if j != i and (j < 4) == (i < 4)])
-            for i in range(6)
-        ]
+        nbhd = mask_of(
+            [[j for j in range(6) if j != i and (j < 4) == (i < 4)] for i in range(6)], 6
+        )
         assert np.allclose(mnbs_smooth(p, nbhd), p, atol=1e-15)
 
     def test_hand_3x3(self):
         abar = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
-        nbhd = [np.array([1]), np.array([0]), np.array([0])]
+        nbhd = mask_of([[1], [0], [0]], 3)
         expected = np.array([[1, 0, 0], [0, 1, 0.5], [0, 0.5, 0]])
         assert np.array_equal(mnbs_smooth(abar, nbhd), expected)
 
     def test_empty_neighborhood_rejected(self):
         with pytest.raises(ValueError, match=r"^empty neighborhood for node 1$"):
-            mnbs_smooth(np.zeros((3, 3)), [np.array([1]), np.array([]), np.array([])])
+            mnbs_smooth(np.zeros((3, 3)), mask_of([[1], [], []], 3))
 
-    @pytest.mark.parametrize("bad", [np.array([3]), np.array([-1]), np.array([1.0])])
-    def test_bad_member_index_rejected(self, bad):
-        with pytest.raises(IndexError):
-            mnbs_smooth(np.zeros((3, 3)), [np.array([1]), bad, np.array([0])])
+    # Index lists, a 0/1 mask of another dtype, and masks of the wrong shape.
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([[1], [2], [0]]),
+            np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+            np.ones((3, 3)),
+            np.ones((3, 4), dtype=bool),
+            np.ones((1, 3, 3), dtype=bool),
+        ],
+    )
+    def test_bad_mask_rejected(self, bad):
+        with pytest.raises(ValueError, match="boolean mask"):
+            mnbs_smooth(np.zeros((3, 3)), bad)
 
     def test_matches_sequential_row_sums(self):
         rng = np.random.default_rng(11)
@@ -228,7 +265,7 @@ class TestMnbsSmooth:
             mixed = [unsorted[0], singletons[1], full[2]] + unsorted[3:]
             for nbhd in (unsorted, singletons, full, mixed):
                 want = sequential_smooth(abar, nbhd)
-                assert np.array_equal(mnbs_smooth(abar, nbhd), want)
+                assert np.array_equal(mnbs_smooth(abar, mask_of(nbhd, n)), want)
 
     def test_output_symmetric_in_range(self):
         rng = np.random.default_rng(9)
@@ -238,6 +275,42 @@ class TestMnbsSmooth:
         out = mnbs_smooth(abar, nbhd)
         assert np.abs(out - out.T).max() <= 1e-12
         assert out.min() >= 0 and out.max() <= 1
+
+
+class TestStacks:
+    """A stack (..., n, n) gives each slice the bytes of its own 2-D call."""
+
+    # (run, chunk) floats: the defaults, one row against one offset at a
+    # time, and blocks of 2 rows (n = 8, 9) against 1 or 2 offsets.
+    @pytest.mark.parametrize("tiling", [None, (1, 1), (15, 40)])
+    @pytest.mark.parametrize("kind", ["uniform", "block", "mixed"])
+    @pytest.mark.parametrize("lead", [(1,), (3,), (2, 2)])
+    @pytest.mark.parametrize("n", [3, 8, 9])
+    def test_stack_equals_slices(self, monkeypatch, n, lead, kind, tiling):
+        if tiling is not None:
+            monkeypatch.setattr(estim, "_RUN_FLOATS", tiling[0])
+            monkeypatch.setattr(estim, "_CHUNK_FLOATS", tiling[1])
+        # Mixed stacks hold block (many ties, large sets) and uniform slices,
+        # so one slice's sets are padded to another's width.
+        makes = {
+            "uniform": [uniform_matrix],
+            "block": [block_matrix],
+            "mixed": [block_matrix, uniform_matrix],
+        }[kind]
+        rng = np.random.default_rng(n)
+        count = math.prod(lead)
+        stack = np.stack([makes[b % len(makes)](rng, n) for b in range(count)])
+        stack = stack.reshape(lead + (n, n))
+        dist = pairwise_distance(stack)
+        mask = neighborhoods(dist, 0.3)
+        smooth = mnbs_smooth(stack, mask)
+        est = estim.mnbs_from_average(stack, 4, 3.0)
+        assert dist.shape == mask.shape == smooth.shape == est.shape == stack.shape
+        for i in np.ndindex(lead):
+            assert dist[i].tobytes() == pairwise_distance(stack[i]).tobytes()
+            assert mask[i].tobytes() == neighborhoods(dist[i], 0.3).tobytes()
+            assert smooth[i].tobytes() == mnbs_smooth(stack[i], mask[i]).tobytes()
+            assert est[i].tobytes() == estim.mnbs_from_average(stack[i], 4, 3.0).tobytes()
 
 
 class TestMnbsEstimate:
