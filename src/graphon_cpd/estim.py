@@ -7,6 +7,7 @@ adjacency matrix (the primary method) and a spectral truncation alternative
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -17,8 +18,41 @@ from .netcore import average_adjacency
 # A pairwise_distance chunk compares a block of rows of G, at least
 # _RUN_FLOATS floats (64 KiB) so that each subtraction runs long, with their
 # partners at as many offsets as fit in _CHUNK_FLOATS floats (1 MiB, in cache).
+# _offset_plan turns them into index arrays once per shape, so a chunk is four
+# numpy calls with no index arithmetic between them.
 _RUN_FLOATS = 2**13
 _CHUNK_FLOATS = 2**17
+
+
+@functools.lru_cache(maxsize=16)
+def _offset_plan(n: int, stack: int, run: int, chunk: int):
+    """Tiling of pairwise_distance for `stack` matrices of size n, given
+    run and chunk floats: the floats of one slice's largest chunk, the chunks
+    as (first, last, lo, hi, zeros), and the flat indices of the offset-major
+    maxima in the square matrix and in its transpose.
+
+    A chunk compares rows first .. last - 1 with their partners at offsets
+    lo .. hi - 1; zeros are the flat positions of k = r and k = r + d in one
+    slice of its difference array. Every array is read-only."""
+    half = n // 2
+    block = -(-n // max(1, n * n // run))  # rows, in blocks of near-equal size
+    step = min(half, max(1, chunk // (stack * block * n)))
+    chunks = []
+    for first in range(0, n, block):
+        last = min(first + block, n)
+        rows = np.arange(first, last)
+        for lo in range(1, half + 1, step):
+            hi = min(lo + step, half + 1)
+            partners = (rows + np.arange(lo, hi)[:, None]) % n
+            at = (np.arange(hi - lo) * (last - first) * n)[:, None] + (rows - first) * n
+            zeros = np.concatenate([(at + rows).ravel(), (at + partners).ravel()])
+            chunks.append((first, last, lo, hi, zeros))
+    rows = np.arange(n)
+    partners = (rows + np.arange(1, half + 1)[:, None]) % n
+    into, mirror = (rows * n + partners).ravel(), (partners * n + rows).ravel()
+    for index in [into, mirror] + [c[-1] for c in chunks]:
+        index.flags.writeable = False
+    return step * block * n, tuple(chunks), into, mirror
 
 
 def pairwise_distance(abar: np.ndarray) -> np.ndarray:
@@ -35,6 +69,8 @@ def pairwise_distance(abar: np.ndarray) -> np.ndarray:
     n = abar.shape[-1]
     if n < 3:
         raise ValueError("need n >= 3 so the max over k != i, i' is nonempty")
+    if abar.size == 0:
+        return np.zeros(abar.shape)
     # One BLAS thread: the window pool is the only parallel level, and the
     # bits of G, which pick the neighbours, do not depend on BLAS threads.
     with one_blas_thread:
@@ -43,28 +79,24 @@ def pairwise_distance(abar: np.ndarray) -> np.ndarray:
     shifted = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([g, g[:, : n // 2]], axis=1), n, axis=1
     ).swapaxes(2, 3)
+    size, chunks, into, mirror = _offset_plan(n, len(g), _RUN_FLOATS, _CHUNK_FLOATS)
+    buf = np.empty(len(g) * size)
+    # far[b, d - 1, r] is the distance of r and (r + d) mod n in slice b.
+    far = np.empty((len(g), n // 2, n))
+    for first, last, lo, hi, zeros in chunks:
+        diff = buf[: len(g) * (hi - lo) * (last - first) * n].reshape(
+            len(g), hi - lo, last - first, n
+        )
+        np.subtract(g[:, None, first:last], shifted[:, lo:hi, first:last], out=diff)
+        # Zeroing k = r and k = r + d cannot raise a max of absolute values;
+        # |x-y| == |y-x| exactly, so one max serves both orders of the pair.
+        diff.reshape(len(g), -1)[:, zeros] = 0.0
+        np.abs(diff, out=diff)
+        np.max(diff, axis=3, out=far[:, lo - 1 : hi - 1, first:last])
     dist = np.zeros(g.shape)
-    block = -(-n // max(1, n * n // _RUN_FLOATS))  # rows, in blocks of near-equal size
-    step = min(n // 2, max(1, _CHUNK_FLOATS // (len(g) * block * n)))
-    buf = np.empty(len(g) * step * block * n)
-    for first in range(0, n, block):
-        last = min(first + block, n)
-        rows = np.arange(first, last)
-        for lo in range(1, n // 2 + 1, step):
-            hi = min(lo + step, n // 2 + 1)
-            partners = (rows + np.arange(lo, hi)[:, None]) % n
-            diff = buf[: len(g) * partners.size * n].reshape(len(g), hi - lo, last - first, n)
-            np.subtract(g[:, None, first:last], shifted[:, lo:hi, first:last], out=diff)
-            # Zeroing k = r and k = r + d cannot raise a max of absolute values;
-            # |x-y| == |y-x| exactly, so one max serves both orders of the pair.
-            at = (np.arange(hi - lo) * (last - first) * n)[:, None] + (rows - first) * n
-            flat = diff.reshape(len(g), -1)
-            flat[:, at + rows] = 0.0
-            flat[:, at + partners] = 0.0
-            np.abs(diff, out=diff)
-            far = np.max(diff, axis=3)
-            dist[:, rows, partners] = far
-            dist[:, partners, rows] = far
+    flat, far = dist.reshape(len(g), -1), far.reshape(len(g), -1)
+    flat[:, into] = far
+    flat[:, mirror] = far
     return dist.reshape(abar.shape)
 
 
@@ -109,7 +141,7 @@ def mnbs_smooth(abar: np.ndarray, mask: np.ndarray) -> np.ndarray:
     # Row i: node i's members in ascending order, padded with n: a row of
     # -0.0, as x + -0.0 == x. Slice b's rows start at b * (n + 1) in `rows`.
     stack = abar.reshape(-1, n, n)
-    width = sizes.max()
+    width = sizes.max(initial=0)  # 0 for an empty stack
     idx = np.full(sizes.shape + (width,), n)
     idx[np.arange(width) < sizes[..., None]] = np.flatnonzero(mask) % n
     idx = idx.reshape(len(stack), n, width) + np.arange(len(stack))[:, None, None] * (n + 1)

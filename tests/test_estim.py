@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphon_cpd import estim
+from graphon_cpd._parallel import one_blas_thread
 from graphon_cpd.estim import (
     mnbs_estimate,
     mnbs_q,
@@ -29,6 +30,22 @@ def brute_pairwise_distance(abar):
                 abs(g[i, k] - g[ip, k]) for k in range(n) if k not in (i, ip)
             )
     return d
+
+
+def per_row_distance(abar):
+    """One numpy pass per row of G, as in perfbench's reference estimate."""
+    n = abar.shape[0]
+    with one_blas_thread:
+        g = abar @ abar / n
+    idx = np.arange(n)
+    dist = np.empty((n, n))
+    for i in range(n):
+        diff = np.abs(g[i] - g)  # diff[j, k] = |G[i, k] - G[j, k]|
+        diff[:, i] = -np.inf
+        diff[idx, idx] = -np.inf
+        dist[i] = diff.max(axis=1)
+        dist[i, i] = 0.0
+    return dist
 
 
 def loop_neighborhoods(dist, q):
@@ -118,8 +135,9 @@ class TestPairwiseDistance:
             assert np.array_equal(pairwise_distance(abar), brute_pairwise_distance(abar))
 
     # offsets * n^2 + extra floats: chunks of 1 offset, then of 2 with a
-    # ragged last chunk at n = 7, then of 3, ragged at n = 9 (n // 2 offsets).
-    @pytest.mark.parametrize("n", [3, 7, 9])
+    # ragged last chunk at n = 7 and 10, then of 3, ragged at n = 8, 9 and 10
+    # (n // 2 offsets). Even n compares the pairs at d = n / 2 twice.
+    @pytest.mark.parametrize("n", [3, 7, 8, 9, 10])
     @pytest.mark.parametrize("offsets, extra", [(0, 1), (2, 0), (3, 1)])
     @pytest.mark.parametrize("make", [uniform_matrix, block_matrix])
     def test_tiles_match_brute_force(self, monkeypatch, n, offsets, extra, make):
@@ -132,10 +150,10 @@ class TestPairwiseDistance:
             assert np.array_equal(d, d.T)
             assert (np.diag(d) == 0).all()
 
-    # Blocks of 1 row, or of 3 rows at n = 7 and 2 at n = 9 (both ragged),
-    # against chunks of 1 offset, of 3 (ragged at n = 9 for 1-row blocks)
-    # or of all n // 2.
-    @pytest.mark.parametrize("n", [7, 9])
+    # Blocks of 1 row, or of 3 rows at n = 7 and 2 at n = 8, 9 and 10 (ragged
+    # at n = 7 and 9), against chunks of 1 offset, of 3 (2 at n = 10; ragged
+    # for 1-row blocks from n = 8) or of all n // 2.
+    @pytest.mark.parametrize("n", [7, 8, 9, 10])
     @pytest.mark.parametrize("run", [1, 15])
     @pytest.mark.parametrize("chunk", [1, 27, 2**17])
     @pytest.mark.parametrize("make", [uniform_matrix, block_matrix])
@@ -146,6 +164,39 @@ class TestPairwiseDistance:
         for _ in range(5):
             abar = make(rng, n)
             assert np.array_equal(pairwise_distance(abar), brute_pairwise_distance(abar))
+
+    # The default tiling at the scan's sizes: 4-window stacks at n = 60, one
+    # block of rows at n = 100 and four blocks of 50 rows at n = 200.
+    @pytest.mark.parametrize("n, count", [(60, 4), (100, 1), (200, 1)])
+    def test_default_tiling_matches_per_row(self, n, count):
+        rng = np.random.default_rng(n)
+        stack = np.stack([(block_matrix, uniform_matrix)[b % 2](rng, n) for b in range(count)])
+        dist = pairwise_distance(stack)
+        for b in range(count):
+            assert np.array_equal(dist[b], per_row_distance(stack[b]))
+
+    def test_offset_plan_follows_tiling(self, monkeypatch):
+        plans = []
+
+        def spy(*args):
+            plans.append(plan_of(*args))
+            return plans[-1]
+
+        plan_of = estim._offset_plan
+        monkeypatch.setattr(estim, "_offset_plan", spy)
+        abar = uniform_matrix(np.random.default_rng(0), 9)
+        pairwise_distance(abar)
+        # 1-row blocks against 1 offset at a time: 9 rows x 4 offsets.
+        monkeypatch.setattr(estim, "_RUN_FLOATS", 1)
+        monkeypatch.setattr(estim, "_CHUNK_FLOATS", 1)
+        pairwise_distance(abar)
+        pairwise_distance(abar)
+        assert [len(chunks) for _, chunks, _, _ in plans] == [1, 36, 36]
+        assert plans[2] is plans[1]
+        for _, chunks, into, mirror in plans:
+            for index in [into, mirror] + [chunk[-1] for chunk in chunks]:
+                with pytest.raises(ValueError, match="read-only"):
+                    index[0] = 0
 
 
 class TestNeighborhoods:
@@ -311,6 +362,17 @@ class TestStacks:
             assert mask[i].tobytes() == neighborhoods(dist[i], 0.3).tobytes()
             assert smooth[i].tobytes() == mnbs_smooth(stack[i], mask[i]).tobytes()
             assert est[i].tobytes() == estim.mnbs_from_average(stack[i], 4, 3.0).tobytes()
+
+
+    @pytest.mark.parametrize("shape", [(0, 5, 5), (2, 0, 5, 5)])
+    def test_empty_stack(self, shape):
+        stack = np.zeros(shape)
+        dist = pairwise_distance(stack)
+        mask = neighborhoods(dist, 0.3)
+        smooth = mnbs_smooth(stack, mask)
+        est = estim.mnbs_from_average(stack, 4, 3.0)
+        assert dist.shape == mask.shape == smooth.shape == est.shape == shape
+        assert mask.dtype == bool
 
 
 class TestMnbsEstimate:
