@@ -287,6 +287,13 @@ def _detector_params(args, T: int, n: int) -> DetectorParams:
     return DetectorParams(h=h, b0=args.B0, d0=args.D0, delta0=args.delta0)
 
 
+def _scenario_spec(args) -> ScenarioSpec:
+    try:  # an unknown id, a size or a seed the scenario cannot take is a bad argument
+        return ScenarioSpec(id=args.scenario, n=args.n, T=args.T, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _parse_points(text: str) -> list[int]:
     text = text.strip()
     if not text:
@@ -325,7 +332,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "simulate":
-        spec = ScenarioSpec(id=args.scenario, n=args.n, T=args.T, seed=args.seed)
+        spec = _scenario_spec(args)
         seq, truth = scenario_sequence(spec)
         with open(args.out, "w", encoding="utf-8") as fh:
             write_edge_csv(seq, fh)
@@ -351,7 +358,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "bench":
-        spec = ScenarioSpec(id=args.scenario, n=args.n, T=args.T, seed=args.seed)
+        spec = _scenario_spec(args)
         params = _detector_params(args, args.T, args.n)
         row = monte_carlo(spec, args.reps, params)
         text = BENCH_CSV_HEADER + "\n" + row.csv_line() + "\n"

@@ -47,6 +47,10 @@ class ScanProfile:
     values: np.ndarray   # D(t, h) per t, all >= 0
 
     def value_at(self, t: int) -> float:
+        if not self.h <= t <= self.T - self.h:
+            raise IndexError(
+                f"t={t} outside the scan range [{self.h}, {self.T - self.h}]"
+            )
         return float(self.values[t - self.h])
 
 

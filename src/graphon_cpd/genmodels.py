@@ -17,14 +17,76 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SBM_IDS = (
-    "SBM-I", "SBM-II", "SBM-III", "SBM-IV", "SBM-V", "SBM-VI", "SBM-VII",
-    "SBM-VIII", "SBM-IX", "SBM-X", "SBM-XI",
-)
-GRAPHON_IDS = ("GRAPHON-I", "GRAPHON-II", "GRAPHON-III")
 
-DSBM_IDS = ("DSBM-I", "DSBM-II", "DSBM-III", "DSBM-IV", "DSBM-V", "DSBM-VI")
-MDSBM_IDS = ("MDSBM-I", "MDSBM-II")
+def _cut(n: int, *bounds: int) -> np.ndarray:
+    """0-based block labels of the 1-based nodes 1..n: node i is in the block
+    after the last bound below i. Each model's floor arithmetic sets the bounds."""
+    return np.searchsorted(bounds, np.arange(1, n + 1))
+
+
+def _thirds(n: int, d: float) -> np.ndarray:
+    return _cut(n, n // 3, 2 * (n // 3))
+
+
+def _two_thirds(n: int, d: float) -> np.ndarray:
+    return _cut(n, 2 * (n // 3))
+
+
+def _three_quarter_power(n: int, d: float) -> np.ndarray:
+    return _cut(n, math.floor(n ** (3 / 4)))
+
+
+def _two(a: float, b: float) -> list[list[float]]:
+    return [[a, b], [b, 0.6]]
+
+
+def _three(a: float, b: float) -> list[list[float]]:
+    return [[a, b, 0.3], [b, a, 0.3], [0.3, 0.3, 0.6]]
+
+
+# Block model id -> (block label per node as a function of (n, delta), block
+# connectivity Lambda as a function of delta).
+_SBMS = {
+    "SBM-I": (_two_thirds, lambda d: _two(0.6, 0.3)),
+    "SBM-II": (
+        lambda n, d: _cut(n, 2 * math.floor(n * (1 - d) / 3)), lambda d: _two(0.6, 0.3)
+    ),
+    "SBM-III": (_thirds, lambda d: _three(0.6, 0.6 - d)),
+    "SBM-IV": (_thirds, lambda d: _three(0.6 + d, 0.6)),
+    "SBM-V": (_thirds, lambda d: _three(0.6 + d, 0.6 - d)),
+    "SBM-VI": (_two_thirds, lambda d: _two(0.6, 0.6 - d)),
+    "SBM-VII": (lambda n, d: _cut(n, 2 * (n // 3) - 1), lambda d: _two(0.6, 0.6 - d)),
+    "SBM-VIII": (_three_quarter_power, lambda d: _two(0.6, 0.3)),
+    "SBM-IX": (_three_quarter_power, lambda d: _two(0.6 - d, 0.3)),
+    "SBM-X": (lambda n, d: _cut(n, n // 2), lambda d: _two(0.6, 0.6 - d)),
+    "SBM-XI": (lambda n, d: np.arange(n) % 2, lambda d: _two(0.6, 0.6 - d)),
+}
+SBM_IDS = tuple(_SBMS)
+
+
+def _graphon_i(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # KB = floor(log n) half-open diagonal blocks [(k-1)/KB, k/KB); the last
+    # block is closed at 1.
+    kb = max(1, math.floor(math.log(len(u))))
+    bu = np.minimum(np.floor(u * kb).astype(int), kb - 1)
+    bv = np.minimum(np.floor(v * kb).astype(int), kb - 1)
+    return np.where(bu == bv, (bu + 1) / (kb + 1), 0.3 / (kb + 1))
+
+
+def _graphon_iii(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    r = u**2 + v**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = r / 3 * np.cos(1.0 / r) + 0.15
+    return np.where(r == 0, 0.15, vals)  # continuous limit at the origin
+
+
+# Graphon id -> f(u, v) on a column and a row of latent positions.
+_GRAPHONS = {
+    "GRAPHON-I": _graphon_i,
+    "GRAPHON-II": lambda u, v: np.sin(5 * np.pi * (u + v - 1) + 1) / 2 + 0.5,
+    "GRAPHON-III": _graphon_iii,
+}
+GRAPHON_IDS = tuple(_GRAPHONS)
 
 # Delta_nT formulas, keyed by an internal tag.
 _DELTA_FORMULAS = {
@@ -33,8 +95,9 @@ _DELTA_FORMULAS = {
     "t-only": lambda n, T: 1.0 / T ** (1 / 8),
 }
 
-# Per-scenario segment layout: (sbm id, delta tag or None) per segment.
-_SCENARIO_SEGMENTS = {
+# Scenario id -> its equal-length segments: (model id, delta tag, or None for
+# a delta-free segment).
+_SCENARIOS = {
     "DSBM-I": [("SBM-III", "std"), ("SBM-I", None)],
     "DSBM-II": [("SBM-III", "std"), ("SBM-V", "std")],
     "DSBM-III": [("SBM-VI", "std"), ("SBM-VII", "std")],
@@ -48,7 +111,17 @@ _SCENARIO_SEGMENTS = {
         ("SBM-II", "switch"), ("SBM-I", None), ("SBM-III", "std"),
         ("SBM-I", None), ("SBM-IV", "std"),
     ],
+    **{f"NOCHANGE-{m}": [(m, "std")] for m in SBM_IDS},
+    **{f"NOCHANGE-{g}": [(g, None)] for g in GRAPHON_IDS},
 }
+DSBM_IDS = tuple(s for s in _SCENARIOS if s.startswith("DSBM-"))
+
+
+def _segments(scenario: str) -> list[tuple[str, str | None]]:
+    try:
+        return _SCENARIOS[scenario.upper()]
+    except KeyError:
+        raise ValueError(f"unknown scenario id {scenario!r}") from None
 
 
 @dataclass(frozen=True)
@@ -63,8 +136,11 @@ class ScenarioSpec:
             raise ValueError("require n >= 6 and T >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if canonical_scenario_id(self.id) is None:
-            raise ValueError(f"unknown scenario id {self.id!r}")
+        k = len(_segments(self.id))
+        if self.T % k != 0:
+            raise ValueError(
+                f"{self.id.upper()} needs T divisible by {k}, got T={self.T}"
+            )
 
 
 @dataclass(frozen=True)
@@ -73,105 +149,33 @@ class GroundTruth:
     segment_matrices: list[np.ndarray]
 
 
-def canonical_scenario_id(scenario: str) -> str | None:
-    sid = scenario.upper()
-    if sid in _SCENARIO_SEGMENTS:
-        return sid
-    if sid.startswith("NOCHANGE-"):
-        base = sid[len("NOCHANGE-"):]
-        if base in SBM_IDS or base in GRAPHON_IDS:
-            return sid
-    return None
-
-
 def delta_nT(scenario: str, n: int, T: int, segment: int = 1) -> float:
-    """Delta_nT of the given scenario segment (1-based; most scenarios use a
-    single formula for all Delta-parameterized segments)."""
+    """Delta_nT that the given scenario segment (1-based) is built with; 0 for
+    a delta-free segment."""
     if n < 1 or T < 1:
         raise ValueError("n and T must be positive")
-    sid = scenario.upper()
-    if sid.startswith("NOCHANGE-"):
-        return _DELTA_FORMULAS["std"](n, T)
-    if sid not in _SCENARIO_SEGMENTS:
-        raise ValueError(f"unknown scenario id {scenario!r}")
-    segments = _SCENARIO_SEGMENTS[sid]
+    segments = _segments(scenario)
     if not 1 <= segment <= len(segments):
-        raise ValueError(f"{sid} has {len(segments)} segments, got {segment}")
-    tag = segments[segment - 1][1]
-    if tag is None:
-        # Delta-free segment; report the scenario's own formula so callers
-        # can still query its signal scale.
-        tag = next(t for _, t in segments[segment - 1:] + segments if t is not None)
-    return _DELTA_FORMULAS[tag](n, T)
-
-
-def _membership(sbm_id: str, n: int, delta: float) -> np.ndarray:
-    """0-based block labels per node, following each model's floor arithmetic
-    on 1-based node positions."""
-    i = np.arange(1, n + 1)
-    third = n // 3
-    if sbm_id in ("SBM-III", "SBM-IV", "SBM-V"):
-        return np.where(i <= third, 0, np.where(i <= 2 * third, 1, 2))
-    if sbm_id in ("SBM-I", "SBM-VI"):
-        return np.where(i <= 2 * third, 0, 1)
-    if sbm_id == "SBM-II":
-        bound = 2 * math.floor(n * (1 - delta) / 3)
-        return np.where(i <= bound, 0, 1)
-    if sbm_id == "SBM-VII":
-        return np.where(i <= 2 * third - 1, 0, 1)
-    if sbm_id in ("SBM-VIII", "SBM-IX"):
-        bound = math.floor(n ** (3 / 4))
-        return np.where(i <= bound, 0, 1)
-    if sbm_id == "SBM-X":
-        return np.where(i <= n // 2, 0, 1)
-    if sbm_id == "SBM-XI":
-        return np.where(i % 2 == 1, 0, 1)
-    raise ValueError(f"unknown SBM id {sbm_id!r}")
-
-
-def _block_matrix(sbm_id: str, delta: float) -> np.ndarray:
-    d = delta
-    if sbm_id in ("SBM-I", "SBM-II", "SBM-VIII"):
-        return np.array([[0.6, 0.3], [0.3, 0.6]])
-    if sbm_id == "SBM-III":
-        return np.array([[0.6, 0.6 - d, 0.3], [0.6 - d, 0.6, 0.3], [0.3, 0.3, 0.6]])
-    if sbm_id == "SBM-IV":
-        return np.array([[0.6 + d, 0.6, 0.3], [0.6, 0.6 + d, 0.3], [0.3, 0.3, 0.6]])
-    if sbm_id == "SBM-V":
-        return np.array(
-            [[0.6 + d, 0.6 - d, 0.3], [0.6 - d, 0.6 + d, 0.3], [0.3, 0.3, 0.6]]
+        raise ValueError(
+            f"{scenario.upper()} has {len(segments)} segments, got {segment}"
         )
-    if sbm_id in ("SBM-VI", "SBM-VII", "SBM-X", "SBM-XI"):
-        return np.array([[0.6, 0.6 - d], [0.6 - d, 0.6]])
-    if sbm_id == "SBM-IX":
-        return np.array([[0.6 - d, 0.3], [0.3, 0.6]])
-    raise ValueError(f"unknown SBM id {sbm_id!r}")
+    tag = segments[segment - 1][1]
+    return 0.0 if tag is None else _DELTA_FORMULAS[tag](n, T)
 
 
 def sbm_matrix(sbm_id: str, n: int, delta: float = 0.0) -> np.ndarray:
     """Link-probability matrix P[i, j] = Lambda[M(i), M(j)]."""
     sbm_id = sbm_id.upper()
-    lam = _block_matrix(sbm_id, delta)
+    if sbm_id not in _SBMS:
+        raise ValueError(f"unknown SBM id {sbm_id!r}")
+    labels, block = _SBMS[sbm_id]
+    lam = np.array(block(delta))
     if ((lam < 0) | (lam > 1)).any():
         raise ValueError(
             f"{sbm_id}: block connectivity leaves [0, 1] at delta={delta}"
         )
-    labels = _membership(sbm_id, n, delta)
-    return lam[np.ix_(labels, labels)]
-
-
-def _graphon_i(u: np.ndarray, v: np.ndarray, kb: int) -> np.ndarray:
-    # Half-open diagonal blocks [(k-1)/KB, k/KB); the last block is closed at 1.
-    bu = np.minimum(np.floor(u * kb).astype(int), kb - 1)
-    bv = np.minimum(np.floor(v * kb).astype(int), kb - 1)
-    return np.where(bu == bv, (bu + 1) / (kb + 1), 0.3 / (kb + 1))
-
-
-def _graphon_iii(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    r = u**2 + v**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = r / 3 * np.cos(1.0 / r) + 0.15
-    return np.where(r == 0, 0.15, vals)  # continuous limit at the origin
+    m = labels(n, delta)
+    return lam[np.ix_(m, m)]
 
 
 def graphon_matrix(graphon_id: str, xi: np.ndarray) -> np.ndarray:
@@ -179,16 +183,10 @@ def graphon_matrix(graphon_id: str, xi: np.ndarray) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if ((xi < 0) | (xi > 1)).any():
         raise ValueError("latent positions must lie in [0, 1]")
-    u = xi[:, None]
-    v = xi[None, :]
-    gid = graphon_id.upper()
-    if gid == "GRAPHON-I":
-        return _graphon_i(u, v, max(1, math.floor(math.log(len(xi)))))
-    if gid == "GRAPHON-II":
-        return np.sin(5 * np.pi * (u + v - 1) + 1) / 2 + 0.5
-    if gid == "GRAPHON-III":
-        return _graphon_iii(u, v)
-    raise ValueError(f"unknown graphon id {graphon_id!r}")
+    f = _GRAPHONS.get(graphon_id.upper())
+    if f is None:
+        raise ValueError(f"unknown graphon id {graphon_id!r}")
+    return f(xi[:, None], xi[None, :])
 
 
 def snapshot_rng(seed: int, t: int) -> np.random.Generator:
@@ -210,48 +208,29 @@ def sample_snapshot(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def segment_matrices(scenario: str, n: int, T: int) -> list[np.ndarray]:
-    """Per-segment link-probability matrices for a scenario at size (n, T)."""
-    sid = canonical_scenario_id(scenario)
-    if sid is None:
-        raise ValueError(f"unknown scenario id {scenario!r}")
-    if sid.startswith("NOCHANGE-"):
-        base = sid[len("NOCHANGE-"):]
-        if base in SBM_IDS:
-            return [sbm_matrix(base, n, _DELTA_FORMULAS["std"](n, T))]
-        return []  # graphon scenarios need latent positions; handled by caller
-    mats = []
-    for seg, (base, tag) in enumerate(_SCENARIO_SEGMENTS[sid], start=1):
-        delta = 0.0 if tag is None else delta_nT(sid, n, T, segment=seg)
-        mats.append(sbm_matrix(base, n, delta))
-    return mats
+    """Per-segment link-probability matrices for a scenario at size (n, T).
+    Empty for a graphon scenario: its matrix depends on the latent positions
+    that `scenario_sequence` draws from the seed."""
+    return [
+        sbm_matrix(model, n, delta_nT(scenario, n, T, segment))
+        for segment, (model, _) in enumerate(_segments(scenario), start=1)
+        if model in _SBMS
+    ]
 
 
 def scenario_sequence(spec: ScenarioSpec) -> tuple[np.ndarray, GroundTruth]:
-    """Sample the full adjacency sequence of a scenario with its ground truth."""
-    sid = canonical_scenario_id(spec.id)
+    """Sample the full adjacency sequence of a scenario with its ground truth:
+    equal-length segments with a change-point after each but the last."""
     n, T = spec.n, spec.T
-
-    if sid.startswith("NOCHANGE-"):
-        base = sid[len("NOCHANGE-"):]
-        if base in GRAPHON_IDS:
-            xi = snapshot_rng(spec.seed, 0).random(n)
-            mats = [graphon_matrix(base, xi)]
-        else:
-            mats = segment_matrices(sid, n, T)
-        lengths = [T]
-        cps: list[int] = []
+    model = _segments(spec.id)[0][0]
+    if model in _GRAPHONS:  # one segment, on latent positions from substream 0
+        mats = [graphon_matrix(model, snapshot_rng(spec.seed, 0).random(n))]
     else:
-        mats = segment_matrices(sid, n, T)
-        k = len(mats)
-        if T % k != 0:
-            raise ValueError(f"{sid} needs T divisible by {k}, got T={T}")
-        lengths = [T // k] * k
-        cps = [T // k * j for j in range(1, k)]
-
+        mats = segment_matrices(spec.id, n, T)
+    length = T // len(mats)
     snapshots = np.empty((T, n, n), dtype=np.int8)
-    t = 1
-    for p, length in zip(mats, lengths):
-        for _ in range(length):
-            snapshots[t - 1] = sample_snapshot(p, snapshot_rng(spec.seed, t))
-            t += 1
+    for t in range(1, T + 1):
+        p = mats[(t - 1) // length]
+        snapshots[t - 1] = sample_snapshot(p, snapshot_rng(spec.seed, t))
+    cps = [length * j for j in range(1, len(mats))]
     return snapshots, GroundTruth(changepoints=cps, segment_matrices=mats)

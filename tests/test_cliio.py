@@ -293,6 +293,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: GRAPHON_CPD_THREADS") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    @pytest.mark.parametrize("args,err", [
+        (["BOGUS", "12", "12", "1"], "unknown scenario id 'BOGUS'"),
+        (["DSBM-I", "3", "12", "1"], "require n >= 6 and T >= 1"),
+        (["MDSBM-II", "12", "12", "1"], "MDSBM-II needs T divisible by 5, got T=12"),
+        (["DSBM-I", "12", "12", "-1"], "seed must fit in 64 bits"),
+    ], ids=["unknown id", "small n", "indivisible T", "negative seed"])
+    def test_bad_scenario_argument_is_usage_error(self, tmp_path, capsys, command,
+                                                  args, err):
+        sid, n, T, seed = args
+        extra = {"simulate": ["--out", str(tmp_path / "x.csv")], "bench": ["--reps", "1"]}
+        assert cli_main([
+            command, "--scenario", sid, "--n", n, "--T", T, "--seed", seed,
+            *extra[command],
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_scenario_out_of_model_range_is_numeric_error(self, tmp_path, capsys):
+        # The arguments are valid; SBM-V's connectivity leaves [0, 1] at this delta.
+        assert cli_main([
+            "simulate", "--scenario", "MDSBM-I", "--n", "10", "--T", "12",
+            "--seed", "1", "--out", str(tmp_path / "x.csv"),
+        ]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numeric error: SBM-V: block connectivity leaves [0, 1]")
+
     def test_eval_subcommand(self, capsys):
         assert cli_main(["eval", "--est", "48,90", "--truth", "50", "--T", "100"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -110,6 +110,13 @@ class TestScanProfile:
             right = mnbs_estimate(seq, t + 1, t + 3, params.b0)
             assert profile.value_at(t) == dist_2inf(left, right) ** 2
 
+    def test_value_at_outside_scan_range(self):
+        profile = scan_profile(np.zeros((10, 5, 5), dtype=np.int8), DetectorParams(h=3))
+        assert [profile.value_at(t) for t in (3, 7)] == [0.0, 0.0]
+        for t in (0, 2, 8, 10):
+            with pytest.raises(IndexError, match=r"outside the scan range \[3, 7\]"):
+                profile.value_at(t)
+
     @pytest.mark.parametrize("threads", [1, 2, 3, 8])
     @pytest.mark.parametrize("dtype", list(DTYPES))
     def test_matches_window_scan_bytes(self, monkeypatch, dtype, threads):

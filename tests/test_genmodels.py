@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from graphon_cpd import genmodels
 from graphon_cpd.genmodels import (
     GRAPHON_IDS,
     SBM_IDS,
@@ -28,6 +30,20 @@ class TestDelta:
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
             delta_nT("DSBM-XIII", 10, 10)
+        with pytest.raises(ValueError, match="unknown scenario id 'NOCHANGE-BOGUS'"):
+            delta_nT("NOCHANGE-BOGUS", 10, 10)
+
+    def test_segment_out_of_range(self):
+        assert delta_nT("NOCHANGE-SBM-I", 64, 256) == pytest.approx(0.25, abs=1e-15)
+        with pytest.raises(ValueError, match="NOCHANGE-SBM-I has 1 segments, got 2"):
+            delta_nT("NOCHANGE-SBM-I", 10, 10, segment=2)
+        with pytest.raises(ValueError):
+            delta_nT("DSBM-I", 10, 10, segment=0)
+
+    def test_delta_free_segment_is_zero(self):
+        # The delta each segment is built with: none for SBM-I or a graphon.
+        assert delta_nT("DSBM-I", 64, 256, segment=2) == 0.0
+        assert delta_nT("NOCHANGE-GRAPHON-II", 64, 256) == 0.0
 
 
 class TestSbmMatrix:
@@ -145,12 +161,21 @@ class TestScenarios:
         assert seq.shape == (6, 12, 12)
 
     def test_divisibility_enforced(self):
-        with pytest.raises(ValueError):
-            scenario_sequence(ScenarioSpec(id="MDSBM-II", n=12, T=101, seed=0))
+        with pytest.raises(ValueError, match="MDSBM-II needs T divisible by 5, got T=101"):
+            ScenarioSpec(id="MDSBM-II", n=12, T=101, seed=0)
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
             ScenarioSpec(id="DSBM-IX", n=12, T=10, seed=0)
+
+    def test_every_scenario_pinned(self):
+        assert set(genmodels._SCENARIOS) == set(SEQUENCE_DIGESTS)
+        assert set(SBM_IDS) == set(SBM_DIGESTS)
+
+    def test_lower_case_id(self):
+        a, truth = scenario_sequence(ScenarioSpec(id="dsbm-i", n=12, T=6, seed=1))
+        b, _ = scenario_sequence(ScenarioSpec(id="DSBM-I", n=12, T=6, seed=1))
+        assert (a == b).all() and truth.changepoints == [3]
 
     def test_reproducible(self):
         spec = ScenarioSpec(id="DSBM-II", n=64, T=8, seed=99)
@@ -169,3 +194,81 @@ class TestScenarios:
         _, truth = scenario_sequence(spec)
         _, truth2 = scenario_sequence(spec)
         assert np.array_equal(truth.segment_matrices[0], truth2.segment_matrices[0])
+
+
+# sha256 of every generated byte, recorded before the generators were
+# rewritten as tables: a changed draw, block boundary or matrix entry shows
+# here, not only in the benchmark digests of four scenarios.
+PIN_N, PIN_T, PIN_SEED = 12, 60, 2**63 + 7  # T divisible by 1, 2, 4 and 5 segments
+SEQUENCE_DIGESTS = {
+    "DSBM-I": "4387f4f9d3cf5e3af1a5e5b593d2011698db9da80982d55f330f5de46b60e46d",
+    "DSBM-II": "47bcfcdc9d3d60df804f0c22a7ad75a59ec4ebe5cf873159f0195013a40d3741",
+    "DSBM-III": "890c3c982c84b2f9b03cf81f79317fa79e488f594ca81991735bf063b8b36946",
+    "DSBM-IV": "02f7feca41c35e7576632e766ce2ffc18344d69dead3c83713d95ad13df02f85",
+    "DSBM-V": "190424633deb08f2066d1c735579475ea13f14b3e0a95a89c3574b3d453cfa9c",
+    "DSBM-VI": "fdbbd9f53aec9f95db8d13e72a7fd427631a0049573a0cf48aec9e8dbabb62b9",
+    "MDSBM-I": "a7ee59e4385b5f139af9a26f0516514a7b93afcae30ac74457facd0fccf27d40",
+    "MDSBM-II": "5a6c8bbd0b8e870401a05478121ef1d7eebafe54e679a2141500b42fba5a9545",
+    "NOCHANGE-SBM-I": "dc1ca565c884a313e53231eb1fbdfbbd3b050ba9157770b7430772f49ef0cb3a",
+    "NOCHANGE-SBM-II": "c793a43210a461113b906658d73f9441f5b3886dea5064eec6a737f9a1bfaa09",
+    "NOCHANGE-SBM-III": "e7c77aa778ab48f4fb114550fbca136ae9f59f89c353ed3051011074e8086ae0",
+    "NOCHANGE-SBM-IV": "6bbff72d24688e04106a3e59ebd18f2389072237ace3a5f71e0951c1f6e68417",
+    "NOCHANGE-SBM-V": "57e106dfdab831e56c3e7870df9e0d6a7cc6817fb52c96ae47e7ed90eb446cdd",
+    "NOCHANGE-SBM-VI": "b8220ff6bd8572f7127ced576e931a515f45e5b02720cefc0cffa43e847e4362",
+    "NOCHANGE-SBM-VII": "f988b7c14423c091ff5d4c5f8f27c3e193ae6486b0eaa93a2c676da936312581",
+    "NOCHANGE-SBM-VIII": "5720eb2a8db4a8d4ce35d5369c48659b49766558f2bc7add2e418b2ffb873fbc",
+    "NOCHANGE-SBM-IX": "2e78e85fe70dc196f359cbb37406a696a7a637c48119005de0a2ec0e1f04bfb8",
+    "NOCHANGE-SBM-X": "c726ee254da9c135fad7aedb48fba28b4314b09be4074454418792d9a44ad9be",
+    "NOCHANGE-SBM-XI": "749ea8755be9d825f9931c7180e576bde40a5691a1f678e094a5f450bc578f00",
+    "NOCHANGE-GRAPHON-I": "6d2e446f2b47fd41a6df36a908ec4547763c0ccab6ed67ef11df099d6757e2f7",
+    "NOCHANGE-GRAPHON-II": "0f4a30aa718567cc97de308112de5689e762bc5ede5cbf17eeeabeeaa414f531",
+    "NOCHANGE-GRAPHON-III": "3530f673ef02a674b8624018796faeb4dd69f7eed0370723a869004710bab925",
+}
+SBM_DIGESTS = {
+    "SBM-I": "2310b1b6b981f82de41f09dbb2e63e3db0b93b35e2749fcf218fc2750eae0c87",
+    "SBM-II": "cbfe297491f6779a6e65d9622518a3311d617b5b90afd1fd53278aa004a24712",
+    "SBM-III": "9307568b2c75879130b9433ae11843475474360f075ba9175336409292e51e52",
+    "SBM-IV": "4345c4d5c305d91a9f28f6c574eabf1dddb80badd743b55c8ee1d8b4737259aa",
+    "SBM-V": "5dde0d0d0c3bd8e1436cf39a2706a0a2199b81be504a030db9c01714e8317e83",
+    "SBM-VI": "f7bc430f402b6d17dbb895136586ebd7a5012f13b26ee8367a62b19a2dbbb57e",
+    "SBM-VII": "fa0e9cf0faa7275c05b2255f598d1dfc31199105ddaeec901591f375aeccefba",
+    "SBM-VIII": "d2fdade61fbf828321dead151eb9754eee716d6cedb7408feb002d8615961118",
+    "SBM-IX": "eccb816ec0d7ad529d7e953f07bce4eadca1172c50e446bcea961d4f18f525c0",
+    "SBM-X": "731718bf39e9f6ffffffee211e1a5e43b44980161cd054dc5f55dd5a9c3e508e",
+    "SBM-XI": "6e60419ca693b569fdc9fb4631adfc5b04548903bd71d4d77a0839059617fa86",
+}
+
+
+def _sequence_digest(sid: str) -> str:
+    seq, truth = scenario_sequence(ScenarioSpec(id=sid, n=PIN_N, T=PIN_T, seed=PIN_SEED))
+    h = hashlib.sha256(repr((seq.shape, seq.dtype.str, truth.changepoints)).encode())
+    h.update(seq.tobytes())
+    for p in truth.segment_matrices:
+        h.update(repr((p.shape, p.dtype.str)).encode())
+        h.update(p.tobytes())
+    return h.hexdigest()
+
+
+def _sbm_digest(sbm_id: str) -> str:
+    h = hashlib.sha256()
+    for n in range(1, 41):
+        for delta in (0.0, 0.1, 0.25, 0.5):
+            h.update(repr((n, delta)).encode())
+            try:
+                p = sbm_matrix(sbm_id, n, delta)
+            except ValueError as exc:
+                h.update(str(exc).encode())
+            else:
+                h.update(repr((p.shape, p.dtype.str)).encode())
+                h.update(p.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("sid", sorted(SEQUENCE_DIGESTS))
+def test_scenario_bytes_pinned(sid):
+    assert _sequence_digest(sid) == SEQUENCE_DIGESTS[sid]
+
+
+@pytest.mark.parametrize("sbm_id", sorted(SBM_DIGESTS))
+def test_sbm_bytes_pinned(sbm_id):
+    assert _sbm_digest(sbm_id) == SBM_DIGESTS[sbm_id]
