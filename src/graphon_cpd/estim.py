@@ -19,9 +19,13 @@ from .netcore import average_adjacency
 # _RUN_FLOATS floats (64 KiB) so that each subtraction runs long, with their
 # partners at as many offsets as fit in _CHUNK_FLOATS floats (1 MiB, in cache).
 # _offset_plan turns them into index arrays once per shape, so a chunk is four
-# numpy calls with no index arithmetic between them.
+# numpy calls with no index arithmetic between them. mnbs_smooth gathers the
+# members of as many rows as fit in _GATHER_FLOATS floats (256 KiB): with
+# 1 MiB, glibc mapped fresh pages for the gather on most calls (7-15k minor
+# faults per detect at n = 200, against 1.4k) and peak RSS rose by ~1 MiB.
 _RUN_FLOATS = 2**13
 _CHUNK_FLOATS = 2**17
+_GATHER_FLOATS = 2**15
 
 
 @functools.lru_cache(maxsize=16)
@@ -128,8 +132,9 @@ def mnbs_smooth(abar: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Average rows of abar over each node's neighbours, then symmetrize.
 
     mask is a boolean neighbour mask of abar's shape, as from neighborhoods.
-    Members are added one at a time in ascending order, so a stack
-    (..., n, n) gives each slice the bits of its own 2-D call."""
+    Rows are summed in blocks, one reduction per block, members in
+    ascending order, so a stack (..., n, n) gives each slice the bits of its
+    own 2-D call."""
     abar = np.asarray(abar, dtype=float)
     mask = np.asarray(mask)
     n = abar.shape[-1]
@@ -145,10 +150,23 @@ def mnbs_smooth(abar: np.ndarray, mask: np.ndarray) -> np.ndarray:
     idx = np.full(sizes.shape + (width,), n)
     idx[np.arange(width) < sizes[..., None]] = np.flatnonzero(mask) % n
     idx = idx.reshape(len(stack), n, width) + np.arange(len(stack))[:, None, None] * (n + 1)
+    # idx[j] holds every row's j-th member. A block of rows gathers its
+    # (width, block, n) members into buf, at most _GATHER_FLOATS floats unless
+    # one row needs more, and numpy reduces that outer axis by adding one
+    # slice after another: each row's members in ascending order, in one call.
+    idx = np.ascontiguousarray(idx.reshape(len(stack) * n, width).T)
     rows = np.concatenate([stack, np.full((len(stack), 1, n), -0.0)], axis=1).reshape(-1, n)
-    raw = np.full(stack.shape, -0.0)
-    for column in np.moveaxis(idx, -1, 0):
-        raw += rows[column]
+    raw = np.empty(stack.shape)
+    flat = raw.reshape(-1, n)
+    block = max(1, _GATHER_FLOATS // max(1, width * n))
+    buf = np.empty(width * min(block, len(flat)) * n)
+    for lo in range(0, len(flat), block):
+        members = idx[:, lo : lo + block]
+        gathered = buf[: members.size * n].reshape(members.shape + (n,))
+        # Every index is in range; mode "clip" lets take write straight into
+        # buf, where its default mode would gather into a copy first.
+        rows.take(members, axis=0, out=gathered, mode="clip")
+        np.add.reduce(gathered, axis=0, out=flat[lo : lo + block])
     raw /= sizes.reshape(len(stack), n, 1)
     return ((raw + raw.swapaxes(1, 2)) / 2).reshape(abar.shape)
 

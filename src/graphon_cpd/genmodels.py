@@ -137,10 +137,10 @@ class ScenarioSpec:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         k = len(_segments(self.id))
+        # The canonical id, so outputs name a scenario the same whatever its case.
+        object.__setattr__(self, "id", self.id.upper())
         if self.T % k != 0:
-            raise ValueError(
-                f"{self.id.upper()} needs T divisible by {k}, got T={self.T}"
-            )
+            raise ValueError(f"{self.id} needs T divisible by {k}, got T={self.T}")
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,8 @@ def sbm_matrix(sbm_id: str, n: int, delta: float = 0.0) -> np.ndarray:
     sbm_id = sbm_id.upper()
     if sbm_id not in _SBMS:
         raise ValueError(f"unknown SBM id {sbm_id!r}")
+    if n < 1:
+        raise ValueError("n must be positive")
     labels, block = _SBMS[sbm_id]
     lam = np.array(block(delta))
     if ((lam < 0) | (lam > 1)).any():
@@ -194,16 +196,31 @@ def snapshot_rng(seed: int, t: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, t]))
 
 
+def _triangle(n: int) -> np.ndarray:
+    """Boolean mask of the upper triangle of an n x n matrix, diagonal
+    included; numpy visits its entries row by row."""
+    return np.triu(np.ones((n, n), dtype=bool))
+
+
+def _draw(out: np.ndarray, probs: np.ndarray, rng: np.random.Generator,
+          upper: np.ndarray) -> None:
+    """Write one snapshot into the zeros `out`: one draw per upper-triangle
+    entry, row by row, and a 1 where it is below probs, mirrored through
+    the transposed view."""
+    bits = rng.random(len(probs)) < probs
+    out[upper] = bits
+    out.T[upper] = bits
+
+
 def sample_snapshot(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw one symmetric binary snapshot: upper triangle (diagonal included)
     is Bernoulli(P[i, j]) independently, then mirrored."""
-    n = p.shape[0]
-    iu, ju = np.triu_indices(n)
-    draws = rng.random(len(iu))
-    a = np.zeros((n, n), dtype=np.int8)
-    bits = (draws < p[iu, ju]).astype(np.int8)
-    a[iu, ju] = bits
-    a[ju, iu] = bits
+    p = np.asarray(p)
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ValueError(f"p must be a square matrix, got shape {p.shape}")
+    upper = _triangle(len(p))
+    a = np.zeros(p.shape, dtype=np.int8)
+    _draw(a, p[upper], rng, upper)
     return a
 
 
@@ -228,9 +245,13 @@ def scenario_sequence(spec: ScenarioSpec) -> tuple[np.ndarray, GroundTruth]:
     else:
         mats = segment_matrices(spec.id, n, T)
     length = T // len(mats)
-    snapshots = np.empty((T, n, n), dtype=np.int8)
-    for t in range(1, T + 1):
-        p = mats[(t - 1) // length]
-        snapshots[t - 1] = sample_snapshot(p, snapshot_rng(spec.seed, t))
+    # The triangle once per sequence and each segment's probabilities once:
+    # a snapshot is then only its draws, written in place.
+    upper = _triangle(n)
+    snapshots = np.zeros((T, n, n), dtype=np.int8)
+    for segment, p in enumerate(mats):
+        probs = p[upper]
+        for t in range(segment * length + 1, (segment + 1) * length + 1):
+            _draw(snapshots[t - 1], probs, snapshot_rng(spec.seed, t), upper)
     cps = [length * j for j in range(1, len(mats))]
     return snapshots, GroundTruth(changepoints=cps, segment_matrices=mats)

@@ -364,8 +364,27 @@ class TestStacks:
             assert est[i].tobytes() == estim.mnbs_from_average(stack[i], 4, 3.0).tobytes()
 
 
+    # Smoothing sums blocks of rows in one reduction each, at most
+    # _GATHER_FLOATS gathered floats: 1 and 7 give one-row blocks, 300 a few
+    # rows, the default a few blocks of the whole stack.
+    @pytest.mark.parametrize("gather", [1, 7, 300, None])
+    def test_blocks_match_sequential_row_sums(self, monkeypatch, gather):
+        if gather is not None:
+            monkeypatch.setattr(estim, "_GATHER_FLOATS", gather)
+        rng = np.random.default_rng(12)
+        for n in (4, 9, 17, 40):
+            stack = np.stack([(block_matrix, uniform_matrix)[b % 2](rng, n) for b in range(5)])
+            mask = neighborhoods(pairwise_distance(stack), 0.3)
+            sizes = mask.sum(axis=-1)
+            # Slices of different widths, and rows padded to the stack's.
+            assert len(set(sizes.max(axis=-1))) > 1 and (sizes < sizes.max()).any()
+            smooth = mnbs_smooth(stack, mask)
+            for b in range(len(stack)):
+                want = sequential_smooth(stack[b], members(mask[b]))
+                assert smooth[b].tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("shape", [(0, 5, 5), (2, 0, 5, 5)])
-    def test_empty_stack(self, shape):
+    def test_empty_stack(self, monkeypatch, shape):
         stack = np.zeros(shape)
         dist = pairwise_distance(stack)
         mask = neighborhoods(dist, 0.3)
@@ -373,6 +392,9 @@ class TestStacks:
         est = estim.mnbs_from_average(stack, 4, 3.0)
         assert dist.shape == mask.shape == smooth.shape == est.shape == shape
         assert mask.dtype == bool
+        # An empty member table with one-row smoothing blocks.
+        monkeypatch.setattr(estim, "_GATHER_FLOATS", 1)
+        assert mnbs_smooth(stack, mask).shape == shape
 
 
 class TestMnbsEstimate:

@@ -114,6 +114,10 @@ class TestMonteCarlo:
         assert fields[0] == "NOCHANGE-SBM-III"
         assert fields[6] == "2"
 
+    def test_lower_case_id_reported_upper_case(self):
+        row = monte_carlo(ScenarioSpec("dsbm-i", 12, 12, 1), 1)
+        assert row.csv_line().startswith("DSBM-I,")
+
     def test_one_pool_level(self, monkeypatch):
         # Replications run in sequence, so only one scan's window pool is
         # alive at a time: at most GRAPHON_CPD_THREADS extra threads.

@@ -72,6 +72,11 @@ class TestSbmMatrix:
         with pytest.raises(ValueError):
             sbm_matrix("SBM-IV", 10, 0.5)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_non_positive_n_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be positive"):
+            sbm_matrix("SBM-I", n)
+
     @pytest.mark.parametrize("sbm_id", SBM_IDS)
     def test_symmetric_unit_range(self, sbm_id):
         p = sbm_matrix(sbm_id, 23, 0.1)
@@ -142,6 +147,37 @@ class TestSampling:
         a = sample_snapshot(p, snapshot_rng(1, 1))
         assert (a == a.T).all()
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 61])
+    def test_matches_entrywise_draws(self, n):
+        p = np.random.default_rng(n).random((n, n))  # not symmetric
+        want = entrywise_snapshot(p, snapshot_rng(5, n))
+        got = sample_snapshot(p, snapshot_rng(5, n))
+        assert got.dtype == np.int8 and got.tobytes() == want.tobytes()
+
+    def test_non_contiguous_p(self):
+        p = np.random.default_rng(3).random((40, 40))
+        view = p.T  # reads p's lower triangle
+        assert not view.flags.c_contiguous
+        got = sample_snapshot(view, snapshot_rng(9, 2))
+        assert got.tobytes() == entrywise_snapshot(view, snapshot_rng(9, 2)).tobytes()
+        assert got.tobytes() == sample_snapshot(p.T.copy(), snapshot_rng(9, 2)).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (5,), (2, 3, 3)])
+    def test_non_square_p_rejected(self, shape):
+        with pytest.raises(ValueError, match="p must be a square matrix"):
+            sample_snapshot(np.full(shape, 0.5), snapshot_rng(0, 1))
+
+
+def entrywise_snapshot(p, rng):
+    """One draw per upper-triangle entry, row by row, mirrored below."""
+    n = len(p)
+    draws = iter(rng.random(n * (n + 1) // 2))
+    a = np.zeros((n, n), dtype=np.int8)
+    for i in range(n):
+        for j in range(i, n):
+            a[i, j] = a[j, i] = next(draws) < p[i, j]
+    return a
+
 
 class TestScenarios:
     def test_dsbm_i_ground_truth(self):
@@ -173,9 +209,28 @@ class TestScenarios:
         assert set(SBM_IDS) == set(SBM_DIGESTS)
 
     def test_lower_case_id(self):
-        a, truth = scenario_sequence(ScenarioSpec(id="dsbm-i", n=12, T=6, seed=1))
+        spec = ScenarioSpec(id="dsbm-i", n=12, T=6, seed=1)
+        a, truth = scenario_sequence(spec)
         b, _ = scenario_sequence(ScenarioSpec(id="DSBM-I", n=12, T=6, seed=1))
         assert (a == b).all() and truth.changepoints == [3]
+        assert spec.id == "DSBM-I"
+        assert spec == ScenarioSpec(id="DSBM-I", n=12, T=6, seed=1)
+
+    # Four segments, SBM-XI's alternating labels, and latents from substream
+    # 0. At (6, 4) the delta of SBM-III and SBM-X leaves [0, 1], so n = 6
+    # runs at T = 400.
+    @pytest.mark.parametrize("n, T", [(6, 400), (61, 8), (200, 4)])
+    @pytest.mark.parametrize("sid", ["MDSBM-I", "DSBM-VI", "NOCHANGE-GRAPHON-II"])
+    def test_sequence_equals_per_snapshot_draws(self, sid, n, T):
+        seed = 7 * n
+        seq, truth = scenario_sequence(ScenarioSpec(id=sid, n=n, T=T, seed=seed))
+        mats = truth.segment_matrices
+        length = T // len(mats)
+        want = np.stack([
+            sample_snapshot(mats[(t - 1) // length], snapshot_rng(seed, t))
+            for t in range(1, T + 1)
+        ])
+        assert seq.dtype == want.dtype and seq.tobytes() == want.tobytes()
 
     def test_reproducible(self):
         spec = ScenarioSpec(id="DSBM-II", n=64, T=8, seed=99)
