@@ -26,11 +26,17 @@ from .netcore import average_adjacency
 _RUN_FLOATS = 2**13
 _CHUNK_FLOATS = 2**17
 _GATHER_FLOATS = 2**15
+# From _SCREEN_FLOOR nodes mnbs_from_average screens its distances in float32
+# (_screened_distance); below it the screen's extra numpy calls cost more
+# than they save. A stack whose band holds more than _BAND_SHARE of the
+# pairs takes the float64 kernel instead.
+_SCREEN_FLOOR = 150
+_BAND_SHARE = 1 / 16
 
 
 @functools.lru_cache(maxsize=16)
 def _offset_plan(n: int, stack: int, run: int, chunk: int):
-    """Tiling of pairwise_distance for `stack` matrices of size n, given
+    """Tiling of the distance kernel for `stack` matrices of size n, given
     run and chunk floats: the floats of one slice's largest chunk, the chunks
     as (first, last, lo, hi, zeros), and the flat indices of the offset-major
     maxima in the square matrix and in its transpose.
@@ -59,49 +65,146 @@ def _offset_plan(n: int, stack: int, run: int, chunk: int):
     return step * block * n, tuple(chunks), into, mirror
 
 
+def _gram(abar: np.ndarray) -> np.ndarray:
+    """G = abar @ abar / n as a stack (B, n, n)."""
+    n = abar.shape[-1]
+    # One BLAS thread: the window pool is the only parallel level, and the
+    # bits of G, which pick the neighbours, do not depend on BLAS threads.
+    with one_blas_thread:
+        return (abar @ abar / n).reshape(-1, n, n)
+
+
+def _distances(g: np.ndarray, dtype) -> np.ndarray:
+    """The distance kernel on a stack (B, n, n) of G, in float32 or float64:
+    D[b, i, i'] = max_{k != i, i'} |G[b, i, k] - G[b, i', k]| with G and
+    the arithmetic in dtype.
+
+    For each offset d = 1 .. n // 2 row r of G is compared with row
+    (r + d) mod n, which covers every pair once (twice at d = n / 2 for even
+    n). A block of rows and their partners at one offset are contiguous runs
+    of G and of G followed by its first n // 2 rows, so every subtraction
+    streams whole blocks of rows."""
+    count, n = len(g), g.shape[-1]
+    # G followed by its first n // 2 rows, in dtype, and G as a view of it.
+    ext = np.empty((count, n + n // 2, n), dtype)
+    ext[:, :n] = g
+    ext[:, n:] = g[:, : n // 2]
+    g = ext[:, :n]
+    # shifted[b, d, r] is row (r + d) mod n of g[b], for 0 <= d <= n // 2: a
+    # strided view of ext. Made with the ndarray constructor, not
+    # sliding_window_view, whose __array_interface__ dict interns and frees
+    # key strings on each call; that churn makes Python reallocate its whole
+    # interned-string table now and then (1-2 MB), inside whichever scan is
+    # running at the time.
+    step, row, col = ext.strides
+    shifted = np.ndarray((count, n // 2 + 1, n, n), dtype, ext, 0, (step, row, row, col))
+    # The budgets are in float64s: float32 chunks hold twice the floats.
+    per = 8 // g.itemsize
+    size, chunks, into, mirror = _offset_plan(n, count, _RUN_FLOATS * per, _CHUNK_FLOATS * per)
+    buf = np.empty(count * size, g.dtype)
+    # far[b, d - 1, r] is the distance of r and (r + d) mod n in slice b.
+    far = np.empty((count, n // 2, n), g.dtype)
+    # |diff| is never negative, and non-negative floats order like the
+    # integers of their bits: numpy's integer max is much faster than its
+    # NaN-aware float max, and picks the same value.
+    bits = np.dtype(f"i{g.itemsize}")
+    far_bits = far.view(bits)
+    for first, last, lo, hi, zeros in chunks:
+        diff = buf[: count * (hi - lo) * (last - first) * n].reshape(
+            count, hi - lo, last - first, n
+        )
+        np.subtract(g[:, None, first:last], shifted[:, lo:hi, first:last], out=diff)
+        # Zeroing k = r and k = r + d cannot raise a max of absolute values;
+        # |x-y| == |y-x| exactly, so one max serves both orders of the pair.
+        diff.reshape(count, -1)[:, zeros] = 0.0
+        np.abs(diff, out=diff)
+        np.max(diff.view(bits), axis=3, out=far_bits[:, lo - 1 : hi - 1, first:last])
+    dist = np.zeros(g.shape, g.dtype)
+    flat, far = dist.reshape(count, -1), far.reshape(count, -1)
+    flat[:, into] = far
+    flat[:, mirror] = far
+    return dist
+
+
 def pairwise_distance(abar: np.ndarray) -> np.ndarray:
     """Node distance matrix: D[i, i'] = max_{k != i, i'} |G[i,k] - G[i',k]|,
     where G = abar @ abar / n. Diagonal is 0.
 
     abar may be one (n, n) matrix or a stack (..., n, n); each slice of the
-    result has the bits of its own 2-D call. For each offset d = 1 .. n // 2
-    row r of G is compared with row (r + d) mod n, which covers every pair
-    once (twice at d = n / 2 for even n). A block of rows and their partners
-    at one offset are contiguous runs of G and of G followed by its first
-    n // 2 rows, so every subtraction streams whole blocks of rows."""
+    result has the bits of its own 2-D call."""
     abar = np.asarray(abar, dtype=float)
     n = abar.shape[-1]
     if n < 3:
         raise ValueError("need n >= 3 so the max over k != i, i' is nonempty")
     if abar.size == 0:
         return np.zeros(abar.shape)
-    # One BLAS thread: the window pool is the only parallel level, and the
-    # bits of G, which pick the neighbours, do not depend on BLAS threads.
-    with one_blas_thread:
-        g = (abar @ abar / n).reshape(-1, n, n)
-    # shifted[b, d, r] is row (r + d) mod n of g[b], for 0 <= d <= n // 2.
-    shifted = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([g, g[:, : n // 2]], axis=1), n, axis=1
-    ).swapaxes(2, 3)
-    size, chunks, into, mirror = _offset_plan(n, len(g), _RUN_FLOATS, _CHUNK_FLOATS)
-    buf = np.empty(len(g) * size)
-    # far[b, d - 1, r] is the distance of r and (r + d) mod n in slice b.
-    far = np.empty((len(g), n // 2, n))
-    for first, last, lo, hi, zeros in chunks:
-        diff = buf[: len(g) * (hi - lo) * (last - first) * n].reshape(
-            len(g), hi - lo, last - first, n
-        )
-        np.subtract(g[:, None, first:last], shifted[:, lo:hi, first:last], out=diff)
-        # Zeroing k = r and k = r + d cannot raise a max of absolute values;
-        # |x-y| == |y-x| exactly, so one max serves both orders of the pair.
-        diff.reshape(len(g), -1)[:, zeros] = 0.0
+    return _distances(_gram(abar), np.float64).reshape(abar.shape)
+
+
+def _screened_distance(abar: np.ndarray, q: float) -> np.ndarray:
+    """A matrix that neighborhoods(., q) maps to the mask of
+    neighborhoods(pairwise_distance(abar), q), for a nonempty stack.
+
+    Every pair is screened with the float32 kernel, and only pairs near
+    their row's cutoff get their float64 distance. Rounding G to float32 and
+    the float32 subtraction move each distance by at most about 2^-22 M,
+    where M = max |G| of the slice, so the exact cutoff lies within
+    eps = 2^-21 M of the screened one, c. A pair with a screened distance
+    below c - 2 eps is inside the exact cutoff and one above c + 2 eps is
+    outside it; the pairs in between (the band) are overwritten with their
+    float64 distance, computed with pairwise_distance's operations. On the
+    result the m-th smallest entry of each row is the exact cutoff and every
+    comparison with it agrees with the exact one, ties included. The
+    diagonal, which neighborhoods leaves out, holds NaN or 0."""
+    abar = np.asarray(abar, dtype=float)
+    n = abar.shape[-1]
+    g = _gram(abar)
+    scale = np.maximum(g.max(axis=(1, 2)), -g.min(axis=(1, 2)))
+    # Below 2^-100 float32 loses relative precision to subnormals, above
+    # 2^100 it comes near overflow; NaN and inf fail both tests.
+    if not ((scale > 2.0**-100) & (scale < 2.0**100)).all():
+        return _distances(g, np.float64).reshape(abar.shape)
+    dist = _distances(g, np.float32)
+    cutoff = _row_cutoffs(dist, q)
+    exact = dist.astype(float)
+    # The band, |screened - c| <= 2 eps, computed in place of the screen.
+    np.subtract(dist, cutoff[..., None], out=dist)
+    np.abs(dist, out=dist)
+    band = dist <= (2.0**-20 * scale).astype(np.float32)[:, None, None]
+    del dist
+    # Tied windows (all one, equal blocks) put most pairs in the band: the
+    # full float64 kernel is then the cheaper way.
+    if np.count_nonzero(band) > band.size * _BAND_SHARE:
+        del exact, band
+        return _distances(g, np.float64).reshape(abar.shape)
+    b, i, j = np.nonzero(band)
+    del band
+    rows, flat = g.reshape(-1, n), exact.reshape(-1)
+    left, right, into = b * n + i, b * n + j, (b * n + i) * n + j
+    step = max(1, _CHUNK_FLOATS // (2 * n))
+    buf = np.empty((2, min(step, len(b)), n))
+    for lo in range(0, len(b), step):
+        hi = min(lo + step, len(b))
+        diff, other = buf[0, : hi - lo], buf[1, : hi - lo]
+        rows.take(left[lo:hi], axis=0, out=diff, mode="clip")
+        rows.take(right[lo:hi], axis=0, out=other, mode="clip")
+        np.subtract(diff, other, out=diff)
+        diff[np.arange(hi - lo), i[lo:hi]] = 0.0
+        diff[np.arange(hi - lo), j[lo:hi]] = 0.0
         np.abs(diff, out=diff)
-        np.max(diff, axis=3, out=far[:, lo - 1 : hi - 1, first:last])
-    dist = np.zeros(g.shape)
-    flat, far = dist.reshape(len(g), -1), far.reshape(len(g), -1)
-    flat[:, into] = far
-    flat[:, mirror] = far
-    return dist.reshape(abar.shape)
+        flat[into[lo:hi]] = diff.view(np.int64).max(axis=1).view(float)
+    return exact.reshape(abar.shape)
+
+
+def _row_cutoffs(d: np.ndarray, q: float) -> np.ndarray:
+    """Each row's m-th smallest entry of a stack of distance matrices, node
+    i itself left out, for m = max(1, ceil(q * (n - 1))). Sets d's
+    diagonal to NaN in place: NaN sorts last in np.partition and fails <=,
+    whatever else the row holds."""
+    n = d.shape[-1]
+    m = max(1, math.ceil(q * (n - 1)))
+    d[..., np.arange(n), np.arange(n)] = np.nan
+    return np.partition(d, m - 1, axis=-1)[..., m - 1]
 
 
 def neighborhoods(dist: np.ndarray, q: float) -> np.ndarray:
@@ -113,12 +216,7 @@ def neighborhoods(dist: np.ndarray, q: float) -> np.ndarray:
     if not 0 < q <= 1:
         raise ValueError("q must be in (0, 1]")
     d = np.array(dist, dtype=float)
-    n = d.shape[-1]
-    m = max(1, math.ceil(q * (n - 1)))
-    # Node i's own NaN sorts last in np.partition and fails <=, whatever else.
-    d[..., np.arange(n), np.arange(n)] = np.nan
-    cutoff = np.partition(d, m - 1, axis=-1)[..., m - 1]
-    return d <= cutoff[..., None]
+    return d <= _row_cutoffs(d, q)[..., None]
 
 
 def mnbs_q(n: int, omega: float, b0: float) -> float:
@@ -181,7 +279,11 @@ def mnbs_from_average(abar: np.ndarray, window: int, b0: float) -> np.ndarray:
     or a stack (..., n, n) of averages over windows of the same length."""
     n = abar.shape[-1]
     q = mnbs_q(n, smoothing_bandwidth(n, window), b0)
-    return mnbs_smooth(abar, neighborhoods(pairwise_distance(abar), q))
+    if n < _SCREEN_FLOOR or abar.size == 0:
+        dist = pairwise_distance(abar)
+    else:
+        dist = _screened_distance(abar, q)
+    return mnbs_smooth(abar, neighborhoods(dist, q))
 
 
 def mnbs_estimate(seq: np.ndarray, t_from: int, t_to: int, b0: float = 3.0) -> np.ndarray:

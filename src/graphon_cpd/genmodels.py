@@ -192,8 +192,11 @@ def graphon_matrix(graphon_id: str, xi: np.ndarray) -> np.ndarray:
 
 
 def snapshot_rng(seed: int, t: int) -> np.random.Generator:
-    """Counter-based substream for snapshot t of a sequence with this seed."""
-    return np.random.Generator(np.random.Philox(key=[seed, t]))
+    """Counter-based substream for snapshot t of a sequence with this seed.
+
+    The key is built as uint64: from a Python list numpy makes a float64
+    array once seed >= 2^63, which merges nearby seeds."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, t], dtype=np.uint64)))
 
 
 def _triangle(n: int) -> np.ndarray:

@@ -1,9 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from graphon_cpd import cpd
+from graphon_cpd import cpd, estim
 from graphon_cpd.cliio import report_to_dict
 from graphon_cpd.cpd import (
     DetectorParams,
@@ -142,7 +143,9 @@ class TestScanProfile:
             calls.clear()
 
     # n = 61 is odd and estimates 4 windows per call, so h = 1, 2 and 17 end
-    # chains mid-batch at different windows; n = 100 estimates one at a time.
+    # chains mid-batch at different windows; n = 100 estimates one at a time,
+    # and n = 160 screens its distances in float32 (estim._SCREEN_FLOOR),
+    # while the oracle takes float64 distances throughout.
     @pytest.mark.parametrize(
         "sid, n, T, h",
         [
@@ -150,15 +153,27 @@ class TestScanProfile:
             ("MDSBM-I", 61, 300, 2),
             ("MDSBM-I", 61, 300, 17),
             ("DSBM-IV", 100, 100, 10),
+            ("DSBM-I", 160, 40, 6),
         ],
     )
     def test_matches_window_scan_at_batch_boundaries(self, monkeypatch, sid, n, T, h):
         seq, _ = scenario_sequence(ScenarioSpec(id=sid, n=n, T=T, seed=3))
         params = DetectorParams(h=h)
-        expected = window_scan(seq, params).tobytes()
+        with monkeypatch.context() as exact:
+            exact.setattr(estim, "_SCREEN_FLOOR", math.inf)
+            expected = window_scan(seq, params).tobytes()
+        screened = []
+        original = estim._screened_distance
+
+        def spy(abar, q):
+            screened.append(len(abar))
+            return original(abar, q)
+
+        monkeypatch.setattr(estim, "_screened_distance", spy)
         for threads in ("1", "2"):
             monkeypatch.setenv("GRAPHON_CPD_THREADS", threads)
             assert scan_profile(seq, params).values.tobytes() == expected
+        assert sum(screened) == (2 * (T - h + 1) if n >= estim._SCREEN_FLOOR else 0)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_scan_memory_flat_in_T(self, monkeypatch, threads):

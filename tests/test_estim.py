@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,13 @@ from graphon_cpd.estim import (
     neighborhoods,
     pairwise_distance,
 )
-from graphon_cpd.genmodels import sample_snapshot, sbm_matrix, snapshot_rng
+from graphon_cpd.genmodels import (
+    ScenarioSpec,
+    sample_snapshot,
+    sbm_matrix,
+    scenario_sequence,
+    snapshot_rng,
+)
 from graphon_cpd.netcore import average_adjacency, dist_2inf
 
 
@@ -87,6 +95,17 @@ def sequential_smooth(abar, nbhd):
     return (raw + raw.T) / 2
 
 
+def brute_kernel(g):
+    """The distance kernel's formula on G itself, in G's dtype."""
+    n = len(g)
+    d = np.zeros((n, n), g.dtype)
+    for i in range(n):
+        for ip in range(n):
+            if ip != i:
+                d[i, ip] = max(abs(g[i, k] - g[ip, k]) for k in range(n) if k not in (i, ip))
+    return d
+
+
 def uniform_matrix(rng, n):
     abar = rng.random((n, n))
     return (abar + abar.T) / 2
@@ -97,6 +116,14 @@ def block_matrix(rng, n):
     blocks = rng.integers(0, 3, n)
     rates = uniform_matrix(rng, 3)
     return rates[blocks][:, blocks]
+
+
+def count_matrix(rng, n):
+    """A window average of h snapshots' edge counts, 0..h over h: the
+    scan's input, with many tied distances at small h."""
+    h = int(rng.integers(1, 6))
+    counts = np.triu(rng.integers(0, h + 1, (n, n)))
+    return (counts + np.triu(counts, 1).T) / h
 
 
 class TestPairwiseDistance:
@@ -197,6 +224,140 @@ class TestPairwiseDistance:
             for index in [into, mirror] + [chunk[-1] for chunk in chunks]:
                 with pytest.raises(ValueError, match="read-only"):
                     index[0] = 0
+
+
+class TestScreen:
+    """mnbs_from_average screens distances in float32 from _SCREEN_FLOOR
+    nodes; the masks must be those of the float64 distances."""
+
+    # A band share of 1 refines every band pair, however many tie.
+    @pytest.mark.parametrize("n", [3, 4, 9, 25, 61])
+    @pytest.mark.parametrize("make", [count_matrix, block_matrix, uniform_matrix])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+    @pytest.mark.parametrize("share", [None, 1.0])
+    def test_masks_match_exact(self, monkeypatch, n, make, lead, share):
+        if share is not None:
+            monkeypatch.setattr(estim, "_BAND_SHARE", share)
+        rng = np.random.default_rng(n)
+        count = math.prod(lead)
+        for q in (1e-9, 0.01, 0.1, 0.2, 0.37, 0.5, 0.8, 1.0):
+            stack = np.stack([make(rng, n) for _ in range(count)]).reshape(lead + (n, n))
+            want = neighborhoods(pairwise_distance(stack), q)
+            got = neighborhoods(estim._screened_distance(stack, q), q)
+            assert got.tobytes() == want.tobytes()
+
+    def test_masks_match_exact_on_scenario_windows(self):
+        for sid, n, T in [("DSBM-I", 200, 20), ("NOCHANGE-GRAPHON-II", 160, 20), ("MDSBM-I", 60, 40)]:
+            seq, _ = scenario_sequence(ScenarioSpec(id=sid, n=n, T=T, seed=4))
+            for h in (1, 3, 10):
+                stack = np.stack([average_adjacency(seq, s + 1, s + h) for s in (0, T - 2 * h)])
+                for b0 in (1.0, 3.0, 30.0):
+                    q = mnbs_q(n, estim.smoothing_bandwidth(n, h), b0)
+                    want = neighborhoods(pairwise_distance(stack), q)
+                    assert neighborhoods(estim._screened_distance(stack, q), q).tobytes() == want.tobytes()
+
+    # Just below and at the floor, one window and a stack of two.
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_estimate_at_the_floor(self, monkeypatch, offset, count):
+        n = estim._SCREEN_FLOOR + offset
+        screened = []
+        original = estim._screened_distance
+
+        def spy(abar, q):
+            screened.append(abar.shape)
+            return original(abar, q)
+
+        monkeypatch.setattr(estim, "_screened_distance", spy)
+        rng = np.random.default_rng(n)
+        stack = np.stack([count_matrix(rng, n) for _ in range(count)])
+        q = mnbs_q(n, estim.smoothing_bandwidth(n, 4), 3.0)
+        want = mnbs_smooth(stack, neighborhoods(pairwise_distance(stack), q))
+        assert estim.mnbs_from_average(stack, 4, 3.0).tobytes() == want.tobytes()
+        assert screened == ([stack.shape] if offset >= 0 else [])
+
+    # Windows of ties: an all-zero one skips the screen (max |G| = 0); all
+    # ones and two equal blocks put most pairs in the band, and so take the
+    # float64 kernel after the screen.
+    @pytest.mark.parametrize("window", ["zeros", "ones", "two blocks"])
+    def test_tied_windows_cost_at_most_twice_the_kernel(self, window):
+        n = 200
+        abar = {
+            "zeros": np.zeros((n, n)),
+            "ones": np.ones((n, n)),
+            "two blocks": np.kron([[0.7, 0.2], [0.2, 0.5]], np.ones((n // 2, n // 2))),
+        }[window]
+        q = mnbs_q(n, estim.smoothing_bandwidth(n, 10), 3.0)
+        screen = lambda: estim._screened_distance(abar, q)  # noqa: E731
+        exact = lambda: pairwise_distance(abar)  # noqa: E731
+        want = neighborhoods(exact(), q)
+        assert neighborhoods(screen(), q).tobytes() == want.tobytes()
+        peaks = {}
+        for fn in (screen, exact):
+            tracemalloc.start()
+            try:
+                fn()
+                peaks[fn] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[screen] < 2 * peaks[exact]
+        # Each pair runs back to back, so a slow spell of the machine slows both.
+        ratios = []
+        for _ in range(9):
+            start = time.perf_counter()
+            screen()
+            middle = time.perf_counter()
+            exact()
+            ratios.append((middle - start) / (time.perf_counter() - middle))
+        assert np.median(ratios) < 2
+
+    def test_nonfinite_or_tiny_scale_takes_the_exact_kernel(self, monkeypatch):
+        dtypes = []
+        original = estim._distances
+
+        def spy(g, dtype):
+            dtypes.append(dtype)
+            return original(g, dtype)
+
+        monkeypatch.setattr(estim, "_distances", spy)
+        abar = count_matrix(np.random.default_rng(2), 20)
+        unbounded = abar.copy()
+        unbounded[0, 1] = unbounded[1, 0] = np.inf
+        # max |G| of the second slice: about 2^-122, 2^118, inf (with NaN).
+        for second in (abar * 2.0**-60, abar * 2.0**60, unbounded):
+            stack = np.stack([abar, second])
+            with np.errstate(invalid="ignore"):
+                want = neighborhoods(pairwise_distance(stack), 0.3)
+                dtypes.clear()
+                got = neighborhoods(estim._screened_distance(stack, 0.3), 0.3)
+            assert dtypes == [np.float64]
+            assert got.tobytes() == want.tobytes()
+        dtypes.clear()
+        estim._screened_distance(np.stack([abar, abar * 2.0**40]), 0.3)
+        assert dtypes[0] == np.float32
+
+
+class TestKernel:
+    """_distances runs in float32 (the screen) and float64 (pairwise_distance)
+    and takes each max over the integer bits of |diff|."""
+
+    # -0.0 entries and negative G check the bits max; block rows check ties.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [3, 8, 9, 16])
+    @pytest.mark.parametrize("tiling", [None, (1, 1), (15, 40)])
+    def test_matches_brute_force(self, monkeypatch, dtype, n, tiling):
+        if tiling is not None:
+            monkeypatch.setattr(estim, "_RUN_FLOATS", tiling[0])
+            monkeypatch.setattr(estim, "_CHUNK_FLOATS", tiling[1])
+        rng = np.random.default_rng(n)
+        for make in (uniform_matrix, block_matrix):
+            g = make(rng, n) - 0.5
+            g[rng.random((n, n)) < 0.2] = -0.0
+            stack = np.stack([g, np.abs(g)])
+            dist = estim._distances(stack, dtype)
+            assert dist.dtype == dtype
+            for b in range(2):
+                assert dist[b].tobytes() == brute_kernel(stack[b].astype(dtype)).tobytes()
 
 
 class TestNeighborhoods:

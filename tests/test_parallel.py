@@ -133,7 +133,9 @@ import numpy as np
 from graphon_cpd import (ScenarioSpec, average_adjacency, mnbs_estimate, musvt_estimate,
                          scenario_sequence)
 from graphon_cpd.cpd import DetectorParams, scan_profile
+from graphon_cpd import estim
 seq, _ = scenario_sequence(ScenarioSpec(id="DSBM-I", n=300, T=12, seed=1))
+assert seq.shape[1] >= estim._SCREEN_FLOOR  # the estimates screen their distances
 estimate = mnbs_estimate(seq, 1, 3)
 values = np.asarray(scan_profile(seq, DetectorParams(h=3)).values)
 spectral = musvt_estimate(average_adjacency(seq, 1, 10), 10)
@@ -143,7 +145,8 @@ print(hashlib.sha256(estimate.tobytes() + values.tobytes() + spectral.tobytes())
 
 def test_bits_independent_of_openblas_threads():
     # At n = 300 OpenBLAS splits the G = Abar² product and musvt's eigh across
-    # its threads, which changes their last bits (and G's neighbour sets).
+    # its threads, which changes their last bits (and G's neighbour sets);
+    # the MNBS estimates there go through the float32 screen.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = set()
