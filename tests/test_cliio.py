@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -86,7 +87,7 @@ class TestEdgeCsv:
                     parse_edge_csv(io.StringIO(text))
             seq = parse_edge_csv(io.StringIO("t,i,j\r\n\n"), n=2, T=1)
         assert seq.tolist() == [[[0, 0], [0, 0]]]
-        assert caught == []  # loadtxt's empty-input warning stays inside
+        assert caught == []  # neither reader warns on an empty body
 
     def test_size_bound_checked_before_allocating(self, monkeypatch):
         pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}  # 1 MiB
@@ -97,8 +98,46 @@ class TestEdgeCsv:
         monkeypatch.delattr(os, "sysconf")
         assert parse_edge_csv(io.StringIO("t,i,j\n1,0,1023\n")).shape == (2, 1024, 1024)
 
-    def test_canonical_file_takes_single_pass(self, monkeypatch):
-        text = "t,i,j\r\n0,2,1\r\n+1, 0 ,0\n\n-0,1,2\n01,3,0\n0,1,2"
+    def test_undecodable_file_fails_as_in_the_row_loop(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_bytes(b"t,i,j\n" + b"0,1,2\n" * 20000 + b"0,\xff,1\n")
+        errors = []
+        for parse in (parse_edge_csv, row_loop):
+            with open(path, newline="", encoding="utf-8") as fh:
+                with pytest.raises(UnicodeDecodeError) as caught:
+                    parse(fh, n=None, T=None)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+
+    def test_parse_memory_is_near_the_dense_array(self, tmp_path):
+        # The values are kept in the narrowest unsigned dtype of each block
+        # (6 bytes per edge here), not as an (edges, 3) int64 body: the
+        # latter peaked at about 6.5x the dense array on this file.
+        seq, _ = scenario_sequence(ScenarioSpec(id="MDSBM-I", n=60, T=400, seed=1))
+        path = tmp_path / "edges.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_edge_csv(seq, fh)
+        with open(path, newline="", encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                parsed = parse_edge_csv(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(parsed, seq)
+        assert peak <= 3 * parsed.nbytes
+
+    @pytest.mark.parametrize("text", [
+        "t,i,j\r\n0,2,1\r\n+1, 0 ,0\n\n-0,1,2\n01,3,0\n0,1,2",
+        None,  # write_edge_csv output
+    ], ids=["padded", "writer-output"])
+    def test_canonical_file_takes_single_pass(self, monkeypatch, text):
+        if text is None:
+            rng = np.random.default_rng(5)
+            seq = np.triu(rng.integers(0, 2, (5, 40, 40), dtype=np.int8))
+            buf = io.StringIO()
+            write_edge_csv(seq | seq.transpose(0, 2, 1), buf)
+            text = buf.getvalue()
         expected = row_loop(io.StringIO(text), None, None)
         monkeypatch.setattr(cliio, "_parse_edge_rows", None)  # a fallback would fail
         seq = parse_edge_csv(io.StringIO(text))
@@ -184,6 +223,8 @@ def edge_files(draw):
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         at = draw(st.integers(0, len(body)))
         body.insert(at, draw(st.tuples(hostile_lines, endings)))
+    if body and draw(st.booleans()):  # an unterminated last line
+        body[-1] = (body[-1][0], "")
     return header + draw(endings) + "".join(line + end for line, end in body)
 
 
@@ -198,6 +239,14 @@ def edge_files(draw):
     "t,i,j\n#0,0,1\n0,0,1\n",
     "t,i,j\n0,0,1\n \t\n",
     "t,i,j\n0,0,1\r0,1,2\n",
+    "t,i,j\n0,+ 1,2\n",
+    "t,i,j\n0,1 2,2\n",
+    "t,i,j\n0,1+2,2\n",
+    "t,i,j\n--0,1,2\n",
+    "t,i,j\n0,-3,2\n",
+    "t,i,j\n0,0000000000000000001,2\n",
+    "t,i,j\n0,1,2\n   \n1,0,1\n",
+    "t,i,j\n0,1,2\r\n\r\n",
 ])
 def test_hostile_file_matches_row_loop(text):
     # newline="" as in the CLI: the row loop takes a lone \r as a line end
@@ -206,10 +255,13 @@ def test_hostile_file_matches_row_loop(text):
 
 
 @given(edge_files(), st.none() | st.integers(1, 8), st.none() | st.integers(1, 8),
-       st.sampled_from(["\n", ""]))
+       st.sampled_from(["\n", ""]), st.sampled_from([1, 2, 3, 5, 64, cliio._READ_CHARS]))
 @settings(max_examples=400, deadline=None)
-def test_parse_matches_row_loop(text, n, T, newline):
-    got = outcome(parse_edge_csv, io.StringIO(text, newline=newline), n, T)
+def test_parse_matches_row_loop(text, n, T, newline, read_chars):
+    # Small blocks put line ends, CRLF pairs and the last line across block edges.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cliio, "_READ_CHARS", read_chars)
+        got = outcome(parse_edge_csv, io.StringIO(text, newline=newline), n, T)
     assert_same(got, outcome(row_loop, io.StringIO(text, newline=newline), n, T))
 
 
