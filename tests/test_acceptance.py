@@ -34,6 +34,8 @@ from graphon_cpd.genmodels import (
 )
 from graphon_cpd.netcore import average_adjacency, dist_2inf, dist_frob
 
+from oracle import brute_kernel
+
 SEED = 20260823
 
 
@@ -154,20 +156,6 @@ def test_criterion_7_analytic_signal_levels(report):
     report(7, not failures, detail)
 
 
-def brute_pairwise(abar):
-    n = abar.shape[0]
-    g = abar @ abar / n
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d[i, j] = max(
-                abs(g[i, k] - g[j, k]) for k in range(n) if k not in (i, j)
-            )
-    return d
-
-
 def brute_smooth(abar, nbhd):
     n = abar.shape[0]
     raw = np.zeros((n, n))
@@ -216,7 +204,7 @@ def test_criterion_8_oracle_equivalence(report):
         abar = average_adjacency(seq, 1, T)
 
         d = pairwise_distance(abar)
-        if not np.array_equal(d, brute_pairwise(abar)):
+        if not np.array_equal(d, brute_kernel(abar @ abar / n)):
             mismatches.append(f"pairwise rep {rep}")
         nbhd = neighborhoods(d, float(rng.uniform(0.1, 1.0)))
         members = [np.flatnonzero(row) for row in nbhd]

@@ -113,24 +113,32 @@ class TestEdgeCsv:
         # The values are kept in the narrowest unsigned dtype of each block
         # (6 bytes per edge here), not as an (edges, 3) int64 body: the
         # latter peaked at about 6.5x the dense array on this file.
-        seq, _ = scenario_sequence(ScenarioSpec(id="MDSBM-I", n=60, T=400, seed=1))
-        path = tmp_path / "edges.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            write_edge_csv(seq, fh)
+        seq, path = written_csv(tmp_path)
         with open(path, newline="", encoding="utf-8") as fh:
-            tracemalloc.start()
-            try:
-                parsed = parse_edge_csv(fh)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            parsed, peak = traced_parse(fh)
+        assert np.array_equal(parsed, seq)
+        assert peak <= 3 * parsed.nbytes
+
+    def test_non_seekable_parse_memory_is_near_the_dense_array(self, tmp_path):
+        # A stream that cannot seek is spooled to a temporary file; an
+        # io.StringIO copy of it peaked at about 11x the dense array here.
+        class Pipe:
+            def __init__(self, fh):
+                self.read = fh.read
+
+            def seekable(self):
+                return False
+
+        seq, path = written_csv(tmp_path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            parsed, peak = traced_parse(Pipe(fh))
         assert np.array_equal(parsed, seq)
         assert peak <= 3 * parsed.nbytes
 
     @pytest.mark.parametrize("text", [
-        "t,i,j\r\n0,2,1\r\n+1, 0 ,0\n\n-0,1,2\n01,3,0\n0,1,2",
+        "t,i,j\r\n0,2,1\r\n1,0,0\n\n01,3,0\r\n\r\n\n0,1,2",
         None,  # write_edge_csv output
-    ], ids=["padded", "writer-output"])
+    ], ids=["crlf-mixed-empty", "writer-output"])
     def test_canonical_file_takes_single_pass(self, monkeypatch, text):
         if text is None:
             rng = np.random.default_rng(5)
@@ -142,6 +150,22 @@ class TestEdgeCsv:
         monkeypatch.setattr(cliio, "_parse_edge_rows", None)  # a fallback would fail
         seq = parse_edge_csv(io.StringIO(text))
         assert seq.dtype == np.int8 and np.array_equal(seq, expected)
+
+    @pytest.mark.parametrize("text", [
+        "t,i,j\r\n0,2,1\r\n+1, 0 ,0\n\n-0,1,2\n01,3,0\n0,1,2",
+        "t,i,j\n0,1,2\n   \n1,0,1\n",
+    ], ids=["padded", "space-only-line"])
+    def test_other_body_takes_row_loop(self, monkeypatch, text):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return row_loop(*args)
+
+        monkeypatch.setattr(cliio, "_parse_edge_rows", spy)
+        seq = parse_edge_csv(io.StringIO(text))
+        assert len(calls) == 1
+        assert seq.dtype == np.int8 and np.array_equal(seq, row_loop(io.StringIO(text), None, None))
 
     @pytest.mark.parametrize("text", [
         "t,i,j\n0,1,2\n1,2,0\n",
@@ -171,6 +195,25 @@ class TestEdgeCsv:
         stream = io.StringIO(path.read_text(encoding="utf-8"))
         stream.readline()  # the fallback rewinds to here, not to 0
         assert np.array_equal(parse_edge_csv(stream), expected)
+
+
+def written_csv(tmp_path):
+    """A writer-made MDSBM-I (60, 400) edge CSV (3.1 MB) and its sequence."""
+    seq, _ = scenario_sequence(ScenarioSpec(id="MDSBM-I", n=60, T=400, seed=1))
+    path = tmp_path / "edges.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_edge_csv(seq, fh)
+    return seq, path
+
+
+def traced_parse(stream):
+    """parse_edge_csv's array and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        parsed = parse_edge_csv(stream)
+        return parsed, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def outcome(parse, stream, n=None, T=None):
@@ -419,6 +462,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
         assert f"n={int(node) + 1}, T=1" in err
+
+    # A bad byte in the first block and one 120 KB in, past it.
+    @pytest.mark.parametrize("body", [b"0,\xff,1\n", b"0,1,2\n" * 20000 + b"0,\xff,1\n"],
+                             ids=["first block", "later block"])
+    def test_undecodable_input_is_data_error(self, tmp_path, capsys, body):
+        edges = tmp_path / "edges.csv"
+        edges.write_bytes(b"t,i,j\n" + body)
+        assert cli_main(["detect", str(edges), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
 
     def test_oversized_field_is_data_error(self, tmp_path, capsys):
         edges = tmp_path / "edges.csv"

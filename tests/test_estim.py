@@ -24,20 +24,7 @@ from graphon_cpd.genmodels import (
 )
 from graphon_cpd.netcore import average_adjacency, dist_2inf
 
-
-def brute_pairwise_distance(abar):
-    """Direct triple loop over the defining formula."""
-    n = abar.shape[0]
-    g = abar @ abar / n
-    d = np.zeros((n, n))
-    for i in range(n):
-        for ip in range(n):
-            if ip == i:
-                continue
-            d[i, ip] = max(
-                abs(g[i, k] - g[ip, k]) for k in range(n) if k not in (i, ip)
-            )
-    return d
+from oracle import brute_kernel
 
 
 def per_row_distance(abar):
@@ -95,17 +82,6 @@ def sequential_smooth(abar, nbhd):
     return (raw + raw.T) / 2
 
 
-def brute_kernel(g):
-    """The distance kernel's formula on G itself, in G's dtype."""
-    n = len(g)
-    d = np.zeros((n, n), g.dtype)
-    for i in range(n):
-        for ip in range(n):
-            if ip != i:
-                d[i, ip] = max(abs(g[i, k] - g[ip, k]) for k in range(n) if k not in (i, ip))
-    return d
-
-
 def uniform_matrix(rng, n):
     abar = rng.random((n, n))
     return (abar + abar.T) / 2
@@ -159,7 +135,7 @@ class TestPairwiseDistance:
             n = rng.integers(3, 7)
             abar = rng.random((n, n))
             abar = (abar + abar.T) / 2
-            assert np.array_equal(pairwise_distance(abar), brute_pairwise_distance(abar))
+            assert np.array_equal(pairwise_distance(abar), brute_kernel(abar @ abar / n))
 
     # offsets * n^2 + extra floats: chunks of 1 offset, then of 2 with a
     # ragged last chunk at n = 7 and 10, then of 3, ragged at n = 8, 9 and 10
@@ -173,7 +149,7 @@ class TestPairwiseDistance:
         for _ in range(5):
             abar = make(rng, n)
             d = pairwise_distance(abar)
-            assert np.array_equal(d, brute_pairwise_distance(abar))
+            assert np.array_equal(d, brute_kernel(abar @ abar / n))
             assert np.array_equal(d, d.T)
             assert (np.diag(d) == 0).all()
 
@@ -190,7 +166,7 @@ class TestPairwiseDistance:
         rng = np.random.default_rng(n)
         for _ in range(5):
             abar = make(rng, n)
-            assert np.array_equal(pairwise_distance(abar), brute_pairwise_distance(abar))
+            assert np.array_equal(pairwise_distance(abar), brute_kernel(abar @ abar / n))
 
     # The default tiling at the scan's sizes: 4-window stacks at n = 60, one
     # block of rows at n = 100 and four blocks of 50 rows at n = 200.
