@@ -73,7 +73,7 @@ def parse_edge_csv(stream: IO[str], n: int | None = None, T: int | None = None) 
         stream.seek(start)
         return _parse_edge_rows(stream, n, T)
     blocks, max_t, max_node = body
-    seq = _empty_sequence(max_t, max_node, n, T)
+    seq = _empty_sequence(max_t, max_node, n, T, held=sum(rows.nbytes for rows in blocks))
     flat, n = seq.reshape(-1), seq.shape[1]  # n as allocated: given or inferred
     for rows in blocks:
         t, i, j = rows.T.astype(np.intp)
@@ -205,9 +205,12 @@ def _csv_rows(stream: IO[str]):
         raise DataError(f"line {reader.line_num}: {exc}") from None
 
 
-def _empty_sequence(max_t: int, max_node: int, n: int | None, T: int | None) -> np.ndarray:
+def _empty_sequence(
+    max_t: int, max_node: int, n: int | None, T: int | None, held: int = 0
+) -> np.ndarray:
     """Zero (T, n, n) int8 array for data whose largest time and node id are
-    given (-1 for none), after checking the declared sizes against them."""
+    given (-1 for none), after checking the declared sizes against them.
+    held is the bytes the reader still keeps while the array is filled."""
     inferred_T = max_t + 1
     inferred_n = max_node + 1
     if T is None:
@@ -227,7 +230,7 @@ def _empty_sequence(max_t: int, max_node: int, n: int | None, T: int | None) -> 
     try:
         # Refused before allocating: under memory overcommit np.zeros can
         # succeed for a size that could never be filled.
-        if T * n * n > physical:
+        if T * n * n + held > physical:
             raise MemoryError
         return np.zeros((T, n, n), dtype=np.int8)
     except (MemoryError, ValueError):

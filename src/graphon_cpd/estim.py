@@ -26,11 +26,11 @@ from .netcore import average_adjacency
 _RUN_FLOATS = 2**13
 _CHUNK_FLOATS = 2**17
 _GATHER_FLOATS = 2**15
-# From _SCREEN_FLOOR nodes mnbs_from_average screens its distances in float32
-# (_screened_distance); below it the screen's extra numpy calls cost more
-# than they save. A stack whose band holds more than _BAND_SHARE of the
-# pairs takes the float64 kernel instead.
-_SCREEN_FLOOR = 150
+# From _SCREEN_FLOOR nodes mnbs_from_average orders its distances on exact
+# integer counts (_screened_distance); below it the screen's extra numpy
+# calls cost more than they save. A stack where more than _BAND_SHARE of the
+# pairs need their float64 distance takes the float64 kernel instead.
+_SCREEN_FLOOR = 128
 _BAND_SHARE = 1 / 16
 
 
@@ -75,9 +75,9 @@ def _gram(abar: np.ndarray) -> np.ndarray:
 
 
 def _distances(g: np.ndarray, dtype) -> np.ndarray:
-    """The distance kernel on a stack (B, n, n) of G, in float32 or float64:
-    D[b, i, i'] = max_{k != i, i'} |G[b, i, k] - G[b, i', k]| with G and
-    the arithmetic in dtype.
+    """The distance kernel on a stack (B, n, n) of G, in a float or signed
+    integer dtype: D[b, i, i'] = max_{k != i, i'} |G[b, i, k] - G[b, i', k]|
+    with G and the arithmetic in dtype.
 
     For each offset d = 1 .. n // 2 row r of G is compared with row
     (r + d) mod n, which covers every pair once (twice at d = n / 2 for even
@@ -98,8 +98,10 @@ def _distances(g: np.ndarray, dtype) -> np.ndarray:
     # running at the time.
     step, row, col = ext.strides
     shifted = np.ndarray((count, n // 2 + 1, n, n), dtype, ext, 0, (step, row, row, col))
-    # The budgets are in float64s: float32 chunks hold twice the floats.
-    per = 8 // g.itemsize
+    # The budgets are in float64s. Narrower chunks hold twice the entries,
+    # and int16 ones no more: at four times, 1 MiB each, they ran no faster
+    # (n = 150-300) and raised dense-n200's peak RSS by about 0.8 MiB.
+    per = min(2, 8 // g.itemsize)
     size, chunks, into, mirror = _offset_plan(n, count, _RUN_FLOATS * per, _CHUNK_FLOATS * per)
     buf = np.empty(count * size, g.dtype)
     # far[b, d - 1, r] is the distance of r and (r + d) mod n in slice b.
@@ -141,45 +143,56 @@ def pairwise_distance(abar: np.ndarray) -> np.ndarray:
     return _distances(_gram(abar), np.float64).reshape(abar.shape)
 
 
-def _screened_distance(abar: np.ndarray, q: float) -> np.ndarray:
+def _screened_distance(abar: np.ndarray, h: int, q: float) -> np.ndarray:
     """A matrix that neighborhoods(., q) maps to the mask of
-    neighborhoods(pairwise_distance(abar), q), for a nonempty stack.
+    neighborhoods(pairwise_distance(abar), q), for a nonempty stack of
+    averages over windows of h snapshots.
 
-    Every pair is screened with the float32 kernel, and only pairs near
-    their row's cutoff get their float64 distance. Rounding G to float32 and
-    the float32 subtraction move each distance by at most about 2^-22 M,
-    where M = max |G| of the slice, so the exact cutoff lies within
-    eps = 2^-21 M of the screened one, c. A pair with a screened distance
-    below c - 2 eps is inside the exact cutoff and one above c + 2 eps is
-    outside it; the pairs in between (the band) are overwritten with their
-    float64 distance, computed with pairwise_distance's operations. On the
-    result the m-th smallest entry of each row is the exact cutoff and every
-    comparison with it agrees with the exact one, ties included. The
-    diagonal, which neighborhoods leaves out, holds NaN or 0."""
+    Each average must be counts / h with integer counts in 0..h. Then, while
+    (n + 4)·n·h² < 2^51, C = rint(G·n·h²) is counts @ counts exactly, and
+    the rounding in G cannot reorder two distances whose exact integers on
+    C differ (README, "Reproducibility"). The kernel runs on C in integers;
+    a pair below its row's integer cutoff is inside the float64 one, a pair
+    above it outside, and only pairs tied at it, in rows where two or more
+    tie, get their float64 distance, computed with pairwise_distance's
+    operations. The result holds -inf below the cutoff, +inf above, 0 at a
+    lone tie and the float64 distance at the other ties, and -inf on the
+    diagonal, which neighborhoods leaves out. Other input, and windows
+    where many pairs tie, take the float64 kernel."""
     abar = np.asarray(abar, dtype=float)
     n = abar.shape[-1]
     g = _gram(abar)
-    scale = np.maximum(g.max(axis=(1, 2)), -g.min(axis=(1, 2)))
-    # Below 2^-100 float32 loses relative precision to subnormals, above
-    # 2^100 it comes near overflow; NaN and inf fail both tests.
-    if not ((scale > 2.0**-100) & (scale < 2.0**100)).all():
+    # One float64 buffer of G's size holds the counts, then C; it goes
+    # before the kernel runs, so as not to raise the kernel's peak memory.
+    c = np.multiply(abar.reshape(g.shape), h)
+    np.rint(c, out=c)
+    if not (c.min() >= 0 and c.max() <= h and (n + 4) * n * h**2 < 2**51
+            and (np.divide(c, h, out=c) == abar.reshape(g.shape)).all()):
         return _distances(g, np.float64).reshape(abar.shape)
-    dist = _distances(g, np.float32)
-    cutoff = _row_cutoffs(dist, q)
-    exact = dist.astype(float)
-    # The band, |screened - c| <= 2 eps, computed in place of the screen.
-    np.subtract(dist, cutoff[..., None], out=dist)
-    np.abs(dist, out=dist)
-    band = dist <= (2.0**-20 * scale).astype(np.float32)[:, None, None]
+    np.rint(np.multiply(g, n * h**2, out=c), out=c)
+    top = c.max()
+    dtype = np.int16 if top < 2**15 else np.int32 if top < 2**31 else np.int64
+    c = c.astype(dtype)
+    dist = _distances(c, dtype)
+    # -1 on the diagonal sorts before every distance, so each row's m-th
+    # smallest distance to the other nodes is at position m.
+    dist[:, np.arange(n), np.arange(n)] = -1
+    m = max(1, math.ceil(q * (n - 1)))
+    cut = np.partition(dist, m, axis=-1)[..., m, None]
+    tie = dist == cut
+    out = np.full(g.shape, np.inf)
+    np.copyto(out, -np.inf, where=dist < cut)
+    np.copyto(out, 0.0, where=tie)
     del dist
-    # Tied windows (all one, equal blocks) put most pairs in the band: the
-    # full float64 kernel is then the cheaper way.
-    if np.count_nonzero(band) > band.size * _BAND_SHARE:
-        del exact, band
+    tie &= np.count_nonzero(tie, axis=-1)[..., None] > 1
+    b, i, j = np.nonzero(tie)
+    del tie
+    # Windows of ties (all ones, equal blocks): the float64 kernel is then
+    # the cheaper way.
+    if len(b) > out.size * _BAND_SHARE:
+        del out
         return _distances(g, np.float64).reshape(abar.shape)
-    b, i, j = np.nonzero(band)
-    del band
-    rows, flat = g.reshape(-1, n), exact.reshape(-1)
+    rows, flat = g.reshape(-1, n), out.reshape(-1)
     left, right, into = b * n + i, b * n + j, (b * n + i) * n + j
     step = max(1, _CHUNK_FLOATS // (2 * n))
     buf = np.empty((2, min(step, len(b)), n))
@@ -193,18 +206,7 @@ def _screened_distance(abar: np.ndarray, q: float) -> np.ndarray:
         diff[np.arange(hi - lo), j[lo:hi]] = 0.0
         np.abs(diff, out=diff)
         flat[into[lo:hi]] = diff.view(np.int64).max(axis=1).view(float)
-    return exact.reshape(abar.shape)
-
-
-def _row_cutoffs(d: np.ndarray, q: float) -> np.ndarray:
-    """Each row's m-th smallest entry of a stack of distance matrices, node
-    i itself left out, for m = max(1, ceil(q * (n - 1))). Sets d's
-    diagonal to NaN in place: NaN sorts last in np.partition and fails <=,
-    whatever else the row holds."""
-    n = d.shape[-1]
-    m = max(1, math.ceil(q * (n - 1)))
-    d[..., np.arange(n), np.arange(n)] = np.nan
-    return np.partition(d, m - 1, axis=-1)[..., m - 1]
+    return out.reshape(abar.shape)
 
 
 def neighborhoods(dist: np.ndarray, q: float) -> np.ndarray:
@@ -216,7 +218,12 @@ def neighborhoods(dist: np.ndarray, q: float) -> np.ndarray:
     if not 0 < q <= 1:
         raise ValueError("q must be in (0, 1]")
     d = np.array(dist, dtype=float)
-    return d <= _row_cutoffs(d, q)[..., None]
+    n = d.shape[-1]
+    m = max(1, math.ceil(q * (n - 1)))
+    # NaN on the diagonal sorts last in np.partition and fails <=, whatever
+    # else the row holds.
+    d[..., np.arange(n), np.arange(n)] = np.nan
+    return d <= np.partition(d, m - 1, axis=-1)[..., m - 1, None]
 
 
 def mnbs_q(n: int, omega: float, b0: float) -> float:
@@ -282,7 +289,7 @@ def mnbs_from_average(abar: np.ndarray, window: int, b0: float) -> np.ndarray:
     if n < _SCREEN_FLOOR or abar.size == 0:
         dist = pairwise_distance(abar)
     else:
-        dist = _screened_distance(abar, q)
+        dist = _screened_distance(abar, window, q)
     return mnbs_smooth(abar, neighborhoods(dist, q))
 
 

@@ -39,9 +39,13 @@ def average_adjacency(seq: np.ndarray, t_from: int, t_to: int) -> np.ndarray:
     if not (1 <= t_from <= t_to <= T):
         raise IndexError(f"window [{t_from}, {t_to}] out of range for T={T}")
     window = seq[t_from - 1 : t_to]
-    # 0/1 entries: the float64 sum is an exact count, so every window of the
-    # same snapshots gives the same bits, however the sum is ordered.
-    return np.add.reduce(window, axis=0, dtype=float) / (t_to - t_from + 1)
+    h = t_to - t_from + 1
+    # Integer entries sum exactly, in any order: byte-sized ones in the
+    # narrowest integer dtype that holds h of them, others in float64, so
+    # every window of the same snapshots gives the bits of the float64 sum.
+    small = window.dtype in (np.bool_, np.int8, np.uint8)
+    acc = np.int16 if small and h <= 128 else np.int32 if small and h < 2**23 else float
+    return np.add.reduce(window, axis=0, dtype=acc) / h
 
 
 def _check_same_shape(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -90,13 +90,29 @@ class TestEdgeCsv:
         assert caught == []  # neither reader warns on an empty body
 
     def test_size_bound_checked_before_allocating(self, monkeypatch):
-        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}  # 1 MiB
+        # 1 MiB and a page: the (1, 1024, 1024) array and its one edge's row.
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 257}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         assert parse_edge_csv(io.StringIO("t,i,j\n0,0,1023\n")).shape == (1, 1024, 1024)
         with pytest.raises(DataError, match=r"^sizes \(n=1024, T=2\) too large"):
             parse_edge_csv(io.StringIO("t,i,j\n1,0,1023\n"))
         monkeypatch.delattr(os, "sysconf")
         assert parse_edge_csv(io.StringIO("t,i,j\n1,0,1023\n")).shape == (2, 1024, 1024)
+
+    def test_size_bound_counts_the_rows_held(self, monkeypatch, tmp_path):
+        # The (4, 256, 256) array fits with a page to spare, but the 2000
+        # rows the byte reader holds until the scatter, 3 bytes each, do not.
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4 * 256 * 256 // 4096 + 1}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        rng = np.random.default_rng(0)
+        pairs = np.sort(rng.choice(256, (2000, 2)), axis=1)
+        rows = [(t % 4, i, j) for t, (i, j) in enumerate(pairs)] + [(3, 0, 255)]
+        path = tmp_path / "edges.csv"
+        path.write_text("t,i,j\n" + "".join(f"{t},{i},{j}\n" for t, i, j in rows))
+        with open(path, newline="") as fh:
+            with pytest.raises(DataError, match=r"^sizes \(n=256, T=4\) too large"):
+                parse_edge_csv(fh)
+        assert cli_main(["detect", str(path), "--out", str(tmp_path / "r.json")]) == 2
 
     def test_undecodable_file_fails_as_in_the_row_loop(self, tmp_path):
         path = tmp_path / "edges.csv"

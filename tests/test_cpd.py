@@ -144,8 +144,9 @@ class TestScanProfile:
 
     # n = 61 is odd and estimates 4 windows per call, so h = 1, 2 and 17 end
     # chains mid-batch at different windows; n = 100 estimates one at a time,
-    # and n = 160 screens its distances in float32 (estim._SCREEN_FLOOR),
-    # while the oracle takes float64 distances throughout.
+    # and n = 160 orders its distances on exact integer counts
+    # (estim._SCREEN_FLOOR), while the oracle takes float64 distances
+    # throughout.
     @pytest.mark.parametrize(
         "sid, n, T, h",
         [
@@ -165,9 +166,10 @@ class TestScanProfile:
         screened = []
         original = estim._screened_distance
 
-        def spy(abar, q):
+        def spy(abar, window, q):
             screened.append(len(abar))
-            return original(abar, q)
+            assert window == h
+            return original(abar, window, q)
 
         monkeypatch.setattr(estim, "_screened_distance", spy)
         for threads in ("1", "2"):

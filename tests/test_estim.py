@@ -98,8 +98,14 @@ def count_matrix(rng, n):
     """A window average of h snapshots' edge counts, 0..h over h: the
     scan's input, with many tied distances at small h."""
     h = int(rng.integers(1, 6))
-    counts = np.triu(rng.integers(0, h + 1, (n, n)))
-    return (counts + np.triu(counts, 1).T) / h
+    return count_stack(rng, (), n, h)
+
+
+def count_stack(rng, lead, n, h):
+    """A stack lead + (n, n) of window averages over h snapshots, edge
+    counts 0..h over h."""
+    counts = rng.integers(0, h + 1, lead + (n, n))
+    return (np.triu(counts) + np.triu(counts, 1).swapaxes(-1, -2)) / h
 
 
 class TestPairwiseDistance:
@@ -203,34 +209,70 @@ class TestPairwiseDistance:
 
 
 class TestScreen:
-    """mnbs_from_average screens distances in float32 from _SCREEN_FLOOR
-    nodes; the masks must be those of the float64 distances."""
+    """mnbs_from_average orders distances on exact integer counts from
+    _SCREEN_FLOOR nodes; the masks must be those of the float64 distances."""
 
-    # A band share of 1 refines every band pair, however many tie.
+    @staticmethod
+    def screened_masks(monkeypatch, stack, h, q):
+        """The screen's masks and the dtypes _distances ran in."""
+        dtypes = []
+        original = estim._distances
+
+        def spy(g, dtype):
+            dtypes.append(dtype)
+            return original(g, dtype)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(estim, "_distances", spy)
+            return neighborhoods(estim._screened_distance(stack, h, q), q), dtypes
+
+    # Each maker's matrices, rounded to counts over h snapshots: random
+    # counts, and counts shared by blocks of nodes (many ties). A tie share
+    # of 1 refines every tie, however many; no stack then takes the float64
+    # kernel.
     @pytest.mark.parametrize("n", [3, 4, 9, 25, 61])
     @pytest.mark.parametrize("make", [count_matrix, block_matrix, uniform_matrix])
-    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2), (2,)])
     @pytest.mark.parametrize("share", [None, 1.0])
     def test_masks_match_exact(self, monkeypatch, n, make, lead, share):
         if share is not None:
             monkeypatch.setattr(estim, "_BAND_SHARE", share)
         rng = np.random.default_rng(n)
-        count = math.prod(lead)
-        for q in (1e-9, 0.01, 0.1, 0.2, 0.37, 0.5, 0.8, 1.0):
-            stack = np.stack([make(rng, n) for _ in range(count)]).reshape(lead + (n, n))
-            want = neighborhoods(pairwise_distance(stack), q)
-            got = neighborhoods(estim._screened_distance(stack, q), q)
-            assert got.tobytes() == want.tobytes()
+        for h in (1, 2, 5, 12):
+            count = math.prod(lead)
+            stack = np.stack([np.rint(make(rng, n) * h) for _ in range(count)]) / h
+            stack = stack.reshape(lead + (n, n))
+            for q in (1e-9, 0.01, 0.1, 0.2, 0.37, 0.5, 0.8, 1.0):
+                want = neighborhoods(pairwise_distance(stack), q)
+                got, dtypes = self.screened_masks(monkeypatch, stack, h, q)
+                assert got.tobytes() == want.tobytes()
+                assert dtypes[0] == np.int16
+                if share is not None:
+                    assert dtypes == [np.int16]
 
-    def test_masks_match_exact_on_scenario_windows(self):
-        for sid, n, T in [("DSBM-I", 200, 20), ("NOCHANGE-GRAPHON-II", 160, 20), ("MDSBM-I", 60, 40)]:
+    # C = counts @ counts reaches 2^15 (int32) and 2^31 (int64).
+    @pytest.mark.parametrize("h, dtype", [(60, np.int32), (2**15, np.int64)])
+    def test_wide_counts(self, monkeypatch, h, dtype):
+        rng = np.random.default_rng(h)
+        for lead, n in [((), 25), ((3,), 61), ((2,), 150)]:
+            stack = count_stack(rng, lead, n, h)
+            for q in (0.01, 0.2, 0.5):
+                got, dtypes = self.screened_masks(monkeypatch, stack, h, q)
+                assert dtypes == [dtype]
+                assert got.tobytes() == neighborhoods(pairwise_distance(stack), q).tobytes()
+
+    def test_masks_match_exact_on_scenario_windows(self, monkeypatch):
+        for sid, n, T in [("DSBM-I", 250, 20), ("NOCHANGE-GRAPHON-II", 160, 20),
+                          ("MDSBM-I", 150, 40), ("MDSBM-I", 60, 40)]:
             seq, _ = scenario_sequence(ScenarioSpec(id=sid, n=n, T=T, seed=4))
             for h in (1, 3, 10):
                 stack = np.stack([average_adjacency(seq, s + 1, s + h) for s in (0, T - 2 * h)])
                 for b0 in (1.0, 3.0, 30.0):
                     q = mnbs_q(n, estim.smoothing_bandwidth(n, h), b0)
                     want = neighborhoods(pairwise_distance(stack), q)
-                    assert neighborhoods(estim._screened_distance(stack, q), q).tobytes() == want.tobytes()
+                    got, dtypes = self.screened_masks(monkeypatch, stack, h, q)
+                    assert dtypes[0] == np.int16
+                    assert got.tobytes() == want.tobytes()
 
     # Just below and at the floor, one window and a stack of two.
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -240,23 +282,21 @@ class TestScreen:
         screened = []
         original = estim._screened_distance
 
-        def spy(abar, q):
-            screened.append(abar.shape)
-            return original(abar, q)
+        def spy(abar, h, q):
+            screened.append((abar.shape, h))
+            return original(abar, h, q)
 
         monkeypatch.setattr(estim, "_screened_distance", spy)
-        rng = np.random.default_rng(n)
-        stack = np.stack([count_matrix(rng, n) for _ in range(count)])
+        stack = count_stack(np.random.default_rng(n), (count,), n, 4)
         q = mnbs_q(n, estim.smoothing_bandwidth(n, 4), 3.0)
         want = mnbs_smooth(stack, neighborhoods(pairwise_distance(stack), q))
         assert estim.mnbs_from_average(stack, 4, 3.0).tobytes() == want.tobytes()
-        assert screened == ([stack.shape] if offset >= 0 else [])
+        assert screened == ([(stack.shape, 4)] if offset >= 0 else [])
 
-    # Windows of ties: an all-zero one skips the screen (max |G| = 0); all
-    # ones and two equal blocks put most pairs in the band, and so take the
-    # float64 kernel after the screen.
+    # Windows of ties: all zeros, all ones and two equal blocks tie most
+    # pairs at the cutoff, and so take the float64 kernel after the screen.
     @pytest.mark.parametrize("window", ["zeros", "ones", "two blocks"])
-    def test_tied_windows_cost_at_most_twice_the_kernel(self, window):
+    def test_tied_windows_cost_at_most_twice_the_kernel(self, monkeypatch, window):
         n = 200
         abar = {
             "zeros": np.zeros((n, n)),
@@ -264,10 +304,12 @@ class TestScreen:
             "two blocks": np.kron([[0.7, 0.2], [0.2, 0.5]], np.ones((n // 2, n // 2))),
         }[window]
         q = mnbs_q(n, estim.smoothing_bandwidth(n, 10), 3.0)
-        screen = lambda: estim._screened_distance(abar, q)  # noqa: E731
+        screen = lambda: estim._screened_distance(abar, 10, q)  # noqa: E731
         exact = lambda: pairwise_distance(abar)  # noqa: E731
         want = neighborhoods(exact(), q)
-        assert neighborhoods(screen(), q).tobytes() == want.tobytes()
+        got, dtypes = self.screened_masks(monkeypatch, abar, 10, q)
+        assert got.tobytes() == want.tobytes()
+        assert dtypes == [np.int16, np.float64]
         peaks = {}
         for fn in (screen, exact):
             tracemalloc.start()
@@ -287,38 +329,43 @@ class TestScreen:
             ratios.append((middle - start) / (time.perf_counter() - middle))
         assert np.median(ratios) < 2
 
+    # A stack with one slice that is not counts / h (scaled, NaN, +-inf,
+    # negative, above h or another fraction), or past the rounding bound
+    # (n + 4)·n·h² < 2^51, takes the float64 kernel alone.
     def test_nonfinite_or_tiny_scale_takes_the_exact_kernel(self, monkeypatch):
-        dtypes = []
-        original = estim._distances
+        n, h = 20, 4
+        abar = count_stack(np.random.default_rng(2), (), n, h)
 
-        def spy(g, dtype):
-            dtypes.append(dtype)
-            return original(g, dtype)
+        def second(value):
+            out = abar.copy()
+            out[0, 1] = out[1, 0] = value
+            return out
 
-        monkeypatch.setattr(estim, "_distances", spy)
-        abar = count_matrix(np.random.default_rng(2), 20)
-        unbounded = abar.copy()
-        unbounded[0, 1] = unbounded[1, 0] = np.inf
-        # max |G| of the second slice: about 2^-122, 2^118, inf (with NaN).
-        for second in (abar * 2.0**-60, abar * 2.0**60, unbounded):
-            stack = np.stack([abar, second])
+        for bad in (abar * 2.0**-60, abar * 2.0**60, second(np.nan), second(np.inf),
+                    second(-np.inf), second(-1 / 4), second(5 / 4), second(0.3)):
+            stack = np.stack([abar, bad])
             with np.errstate(invalid="ignore"):
                 want = neighborhoods(pairwise_distance(stack), 0.3)
-                dtypes.clear()
-                got = neighborhoods(estim._screened_distance(stack, 0.3), 0.3)
+                got, dtypes = self.screened_masks(monkeypatch, stack, h, 0.3)
             assert dtypes == [np.float64]
             assert got.tobytes() == want.tobytes()
-        dtypes.clear()
-        estim._screened_distance(np.stack([abar, abar * 2.0**40]), 0.3)
-        assert dtypes[0] == np.float32
+        # Counts over windows of h snapshots, either side of the bound.
+        for wide, dtype in [(2**20, np.int64), (2**22, np.float64)]:
+            assert ((n + 4) * n * wide**2 < 2**51) == (dtype is np.int64)
+            stack = count_stack(np.random.default_rng(wide), (2,), n, wide)
+            got, dtypes = self.screened_masks(monkeypatch, stack, wide, 0.3)
+            assert dtypes == [dtype]
+            assert got.tobytes() == neighborhoods(pairwise_distance(stack), 0.3).tobytes()
+        assert self.screened_masks(monkeypatch, abar, h, 0.3)[1][0] == np.int16
 
 
 class TestKernel:
-    """_distances runs in float32 (the screen) and float64 (pairwise_distance)
-    and takes each max over the integer bits of |diff|."""
+    """_distances runs in int16, int32 and int64 (the screen's counts) and
+    float64 (pairwise_distance), and in any other float or signed integer
+    dtype, and takes each max over the integer bits of |diff|."""
 
     # -0.0 entries and negative G check the bits max; block rows check ties.
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16, np.int32, np.int64])
     @pytest.mark.parametrize("n", [3, 8, 9, 16])
     @pytest.mark.parametrize("tiling", [None, (1, 1), (15, 40)])
     def test_matches_brute_force(self, monkeypatch, dtype, n, tiling):
@@ -328,6 +375,8 @@ class TestKernel:
         rng = np.random.default_rng(n)
         for make in (uniform_matrix, block_matrix):
             g = make(rng, n) - 0.5
+            if np.dtype(dtype).kind == "i":  # whole numbers in +-2^13: no diff overflows
+                g = np.rint(g * 2**14)
             g[rng.random((n, n)) < 0.2] = -0.0
             stack = np.stack([g, np.abs(g)])
             dist = estim._distances(stack, dtype)

@@ -45,6 +45,26 @@ class TestAverageAdjacency:
         with pytest.raises(IndexError):
             average_adjacency(seq, *window)
 
+    # Byte-sized entries sum in int16 up to h = 128 and in int32 beyond;
+    # each dtype's extremes fill the first two rows, so an accumulator that
+    # overflowed would show.
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint8, np.float64])
+    @pytest.mark.parametrize("h", [1, 7, 128, 129, 300])
+    def test_matches_float_accumulator(self, dtype, h):
+        rng = np.random.default_rng(h)
+        if dtype is np.float64:
+            seq = rng.random((h + 2, 5, 5))
+        else:
+            lo, hi = (0, 1) if dtype is bool else (np.iinfo(dtype).min, np.iinfo(dtype).max)
+            seq = rng.integers(lo, hi, (h + 2, 5, 5), endpoint=True)
+            seq[:, 0], seq[:, 1] = lo, hi
+            seq = seq.astype(dtype)
+        for t_from in (1, 3):
+            t_to = t_from + h - 1
+            want = np.add.reduce(seq[t_from - 1 : t_to], axis=0, dtype=float) / h
+            got = average_adjacency(seq, t_from, t_to)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
     def test_range_and_equivariance(self):
         rng = np.random.default_rng(3)
         seq = np.stack(

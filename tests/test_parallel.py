@@ -146,7 +146,8 @@ print(hashlib.sha256(estimate.tobytes() + values.tobytes() + spectral.tobytes())
 def test_bits_independent_of_openblas_threads():
     # At n = 300 OpenBLAS splits the G = Abar² product and musvt's eigh across
     # its threads, which changes their last bits (and G's neighbour sets);
-    # the MNBS estimates there go through the float32 screen.
+    # the MNBS estimates there go through the integer-count screen, whose
+    # counts are exact, but whose tied pairs take float64 distances from G.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = set()
