@@ -72,15 +72,7 @@ def parse_edge_csv(stream: IO[str], n: int | None = None, T: int | None = None) 
         # non-canonical files it has always accepted.
         stream.seek(start)
         return _parse_edge_rows(stream, n, T)
-    blocks, max_t, max_node = body
-    seq = _empty_sequence(max_t, max_node, n, T, held=sum(rows.nbytes for rows in blocks))
-    flat, n = seq.reshape(-1), seq.shape[1]  # n as allocated: given or inferred
-    for rows in blocks:
-        t, i, j = rows.T.astype(np.intp)
-        t *= n
-        flat[(t + i) * n + j] = 1  # both orientations are set, so rows need no ordering
-        flat[(t + j) * n + i] = 1
-    return seq
+    return _dense_sequence(*body, n, T)
 
 
 def _read_blocks(stream: IO[str]) -> tuple[list[np.ndarray], int, int] | None:
@@ -165,13 +157,13 @@ def _writer_form(b: np.ndarray) -> np.ndarray:
 def _parse_edge_rows(stream: IO[str], n: int | None, T: int | None) -> np.ndarray:
     """Row-by-row reader: accepts what ``csv`` and ``int`` accept, and names
     the first bad line."""
+    import array  # an extension module (0.14 MiB resident) that only this reader needs
     reader = _csv_rows(stream)
     header = next(reader, None)
     if header is None or [c.strip() for c in header] != ["t", "i", "j"]:
         raise DataError("expected header 't,i,j'")
-    records = []
-    max_t = -1
-    max_node = -1
+    values = array.array("q")  # t, i, j of every edge
+    max_t = max_node = -1
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -183,17 +175,11 @@ def _parse_edge_rows(stream: IO[str], n: int | None, T: int | None) -> np.ndarra
             raise DataError(f"line {lineno}: non-integer field in {row}")
         if t < 0 or i < 0 or j < 0:
             raise DataError(f"line {lineno}: negative index in {row}")
-        if i > j:
-            i, j = j, i
-        records.append((t, i, j))
-        max_t = max(max_t, t)
-        max_node = max(max_node, j)
-
-    seq = _empty_sequence(max_t, max_node, n, T)
-    for t, i, j in records:
-        seq[t, i, j] = 1
-        seq[t, j, i] = 1
-    return seq
+        max_t, max_node = max(max_t, t), max(max_node, i, j)
+        if max_t < 2**63 and max_node < 2**63:  # int64 holds it; larger ids fail the size check
+            values.extend((t, i, j))
+    rows = np.frombuffer(values, np.int64).reshape(-1, 3)
+    return _dense_sequence([rows], max_t, max_node, n, T)
 
 
 def _csv_rows(stream: IO[str]):
@@ -205,18 +191,27 @@ def _csv_rows(stream: IO[str]):
         raise DataError(f"line {reader.line_num}: {exc}") from None
 
 
-def _empty_sequence(
-    max_t: int, max_node: int, n: int | None, T: int | None, held: int = 0
-) -> np.ndarray:
+def _dense_sequence(blocks: list[np.ndarray], max_t: int, max_node: int,
+                    n: int | None, T: int | None) -> np.ndarray:
+    """The (T, n, n) int8 sequence of the edges in (rows, 3) blocks."""
+    seq = _empty_sequence(max_t, max_node, n, T, held=sum(rows.nbytes for rows in blocks))
+    flat, n = seq.reshape(-1), seq.shape[1]  # n as allocated: given or inferred
+    for rows in blocks:
+        t, i, j = rows.T.astype(np.intp)
+        t *= n
+        flat[(t + i) * n + j] = 1  # both orientations are set, so rows need no ordering
+        flat[(t + j) * n + i] = 1
+    return seq
+
+
+def _empty_sequence(max_t: int, max_node: int, n: int | None, T: int | None,
+                    held: int) -> np.ndarray:
     """Zero (T, n, n) int8 array for data whose largest time and node id are
     given (-1 for none), after checking the declared sizes against them.
     held is the bytes the reader still keeps while the array is filled."""
-    inferred_T = max_t + 1
-    inferred_n = max_node + 1
-    if T is None:
-        T = inferred_T
-    if n is None:
-        n = inferred_n
+    inferred_T, inferred_n = max_t + 1, max_node + 1
+    T = inferred_T if T is None else T
+    n = inferred_n if n is None else n
     if T < inferred_T or n < inferred_n:
         raise DataError(
             f"declared sizes (n={n}, T={T}) below observed (n={inferred_n}, T={inferred_T})"
@@ -477,6 +472,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        print(f"data error: out of memory. {exc}".rstrip(), file=sys.stderr)
         return EXIT_DATA
     except (ValueError, IndexError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

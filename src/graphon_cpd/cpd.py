@@ -35,8 +35,8 @@ class DetectorParams:
     def __post_init__(self):
         if self.h < 1:
             raise ValueError("h must be a positive integer")
-        if self.b0 <= 0 or self.d0 <= 0 or self.delta0 <= 0:
-            raise ValueError("b0, d0 and delta0 must be strictly positive")
+        if not all(0 < v < math.inf for v in (self.b0, self.d0, self.delta0)):  # and not NaN
+            raise ValueError("b0, d0 and delta0 must be finite and strictly positive")
 
 
 @dataclass(frozen=True)

@@ -228,7 +228,7 @@ def neighborhoods(dist: np.ndarray, q: float) -> np.ndarray:
 
 def mnbs_q(n: int, omega: float, b0: float) -> float:
     """Neighborhood quantile b0 * log(n) / (sqrt(n) * omega), clamped to 1."""
-    if n < 3 or omega <= 0 or b0 <= 0:
+    if n < 3 or omega <= 0 or not 0 < b0 < math.inf:  # NaN fails too
         raise ValueError("require n >= 3, omega > 0, b0 > 0")
     return min(1.0, b0 * math.log(n) / (math.sqrt(n) * omega))
 

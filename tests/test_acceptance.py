@@ -34,7 +34,7 @@ from graphon_cpd.genmodels import (
 )
 from graphon_cpd.netcore import average_adjacency, dist_2inf, dist_frob
 
-from oracle import brute_kernel
+from oracle import brute_kernel, sequential_smooth
 
 SEED = 20260823
 
@@ -156,15 +156,6 @@ def test_criterion_7_analytic_signal_levels(report):
     report(7, not failures, detail)
 
 
-def brute_smooth(abar, nbhd):
-    n = abar.shape[0]
-    raw = np.zeros((n, n))
-    for i in range(n):
-        members = np.sort(np.asarray(nbhd[i]))
-        raw[i] = np.mean(abar[members], axis=0)
-    return (raw + raw.T) / 2
-
-
 def brute_local_maximizers(profile):
     ts, vals = list(profile.ts), list(profile.values)
     h = profile.h
@@ -208,7 +199,7 @@ def test_criterion_8_oracle_equivalence(report):
             mismatches.append(f"pairwise rep {rep}")
         nbhd = neighborhoods(d, float(rng.uniform(0.1, 1.0)))
         members = [np.flatnonzero(row) for row in nbhd]
-        if not np.array_equal(mnbs_smooth(abar, nbhd), brute_smooth(abar, members)):
+        if not np.array_equal(mnbs_smooth(abar, nbhd), sequential_smooth(abar, members)):
             mismatches.append(f"smooth rep {rep}")
 
         h = int(rng.integers(1, 4))

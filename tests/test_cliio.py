@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphon_cpd import cliio
+from graphon_cpd import cliio, estim
 from graphon_cpd.cliio import (
     DataError,
     cli_main,
@@ -113,6 +113,24 @@ class TestEdgeCsv:
             with pytest.raises(DataError, match=r"^sizes \(n=256, T=4\) too large"):
                 parse_edge_csv(fh)
         assert cli_main(["detect", str(path), "--out", str(tmp_path / "r.json")]) == 2
+
+    def test_size_bound_counts_the_rows_the_row_loop_holds(self, monkeypatch, tmp_path):
+        # As above, with the spaces after each comma sending the file to the
+        # row loop: its 20001 rows, 24 bytes each, count against the bound.
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4 * 256 * 256 // 4096 + 1}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        rng = np.random.default_rng(0)
+        pairs = np.sort(rng.choice(256, (20000, 2)), axis=1)
+        rows = [(t % 4, i, j) for t, (i, j) in enumerate(pairs)] + [(3, 0, 255)]
+        path = tmp_path / "edges.csv"
+        path.write_text("t,i,j\n" + "".join(f"{t}, {i}, {j}\n" for t, i, j in rows))
+        with open(path, newline="") as fh:
+            with pytest.raises(DataError, match=r"^sizes \(n=256, T=4\) too large"):
+                parse_edge_csv(fh)
+        assert cli_main(["detect", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        # Ids past int64 are counted but not kept, and fail the same bound.
+        with pytest.raises(DataError, match=r"^sizes \(n=3, T=18446744073709551620\) too large"):
+            row_loop(io.StringIO(f"t,i,j\n0, 1, 2\n{2**64 + 3}, 0, 1\n"), None, None)
 
     def test_undecodable_file_fails_as_in_the_row_loop(self, tmp_path):
         path = tmp_path / "edges.csv"
@@ -540,6 +558,37 @@ class TestCli:
         assert capsys.readouterr().err == (
             "numeric error: require n >= 3, omega > 0, b0 > 0\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command,flag", [
+        ("detect", "B0"), ("detect", "D0"), ("detect", "delta0"),
+        ("bench", "B0"), ("bench", "D0"), ("bench", "delta0"),
+        ("estimate", "B0"),
+    ])
+    def test_non_finite_detector_value_is_numeric_error(self, tmp_path, capsys, command,
+                                                        flag, value):
+        edges, out = tmp_path / "edges.csv", tmp_path / "out"
+        edges.write_text("t,i,j\n0,0,1\n1,1,2\n2,0,2\n3,1,3\n")
+        args = {
+            "detect": ["detect", str(edges), "--h", "1"],
+            "bench": ["bench", "--scenario", "DSBM-I", "--n", "20", "--T", "16",
+                      "--seed", "1", "--reps", "1"],
+            "estimate": ["estimate", str(edges), "--from", "1", "--to", "2"],
+        }[command]
+        assert cli_main([*args, f"--{flag}={value}", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_memory_error_is_data_error(self, tmp_path, monkeypatch, capsys):
+        def out_of_memory(abar):
+            raise MemoryError
+
+        monkeypatch.setattr(estim, "_gram", out_of_memory)
+        edges = tmp_path / "edges.csv"
+        edges.write_text("t,i,j\n0,0,1\n1,1,2\n2,0,2\n3,1,3\n")
+        assert cli_main(["detect", str(edges), "--h", "1", "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == "data error: out of memory.\n"
 
     def test_bench_writes_csv(self, tmp_path):
         out = tmp_path / "bench.csv"

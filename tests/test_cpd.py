@@ -15,19 +15,11 @@ from graphon_cpd.cpd import (
     scan_profile,
     threshold_value,
 )
-from graphon_cpd.estim import mnbs_estimate, mnbs_from_average
+from graphon_cpd.estim import mnbs_estimate
 from graphon_cpd.genmodels import ScenarioSpec, sample_snapshot, sbm_matrix, scenario_sequence, snapshot_rng
-from graphon_cpd.netcore import average_adjacency, dist_2inf
+from graphon_cpd.netcore import dist_2inf
 
-
-def window_scan(seq, params):
-    """The scan as one fresh average per window, every estimate kept."""
-    T, h = len(seq), params.h
-    estimates = [
-        mnbs_from_average(average_adjacency(seq, s + 1, s + h), h, params.b0)
-        for s in range(T - h + 1)
-    ]
-    return np.array([dist_2inf(estimates[t - h], estimates[t]) ** 2 for t in range(h, T - h + 1)])
+from oracle import window_scan
 
 
 # Every dtype as_adjacency_sequence accepts for 0/1 snapshots.

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from graphon_cpd import estim
-from graphon_cpd._parallel import one_blas_thread
 from graphon_cpd.estim import (
     mnbs_estimate,
     mnbs_q,
@@ -24,36 +23,7 @@ from graphon_cpd.genmodels import (
 )
 from graphon_cpd.netcore import average_adjacency, dist_2inf
 
-from oracle import brute_kernel
-
-
-def per_row_distance(abar):
-    """One numpy pass per row of G, as in perfbench's reference estimate."""
-    n = abar.shape[0]
-    with one_blas_thread:
-        g = abar @ abar / n
-    idx = np.arange(n)
-    dist = np.empty((n, n))
-    for i in range(n):
-        diff = np.abs(g[i] - g)  # diff[j, k] = |G[i, k] - G[j, k]|
-        diff[:, i] = -np.inf
-        diff[idx, idx] = -np.inf
-        dist[i] = diff.max(axis=1)
-        dist[i, i] = 0.0
-    return dist
-
-
-def loop_neighborhoods(dist, q):
-    """Per-node loop over the quantile rule."""
-    n = dist.shape[0]
-    m = max(1, math.ceil(q * (n - 1)))
-    nbhd = []
-    for i in range(n):
-        others = np.delete(np.arange(n), i)
-        d = dist[i, others]
-        cutoff = np.partition(d, m - 1)[m - 1]
-        nbhd.append(others[d <= cutoff])
-    return nbhd
+from oracle import brute_kernel, loop_neighborhoods, per_row_distance, sequential_smooth
 
 
 def members(mask):
@@ -67,19 +37,6 @@ def mask_of(nbhd, n):
     for i, row in enumerate(nbhd):
         mask[i, np.asarray(row, dtype=int)] = True
     return mask
-
-
-def sequential_smooth(abar, nbhd):
-    """Row sums adding the sorted member rows one at a time."""
-    n = abar.shape[0]
-    raw = np.empty((n, n))
-    for i, members in enumerate(nbhd):
-        members = np.sort(members)
-        acc = abar[members[0]].copy()
-        for j in members[1:]:
-            acc += abar[j]
-        raw[i] = acc / len(members)
-    return (raw + raw.T) / 2
 
 
 def uniform_matrix(rng, n):
