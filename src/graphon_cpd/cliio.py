@@ -11,11 +11,8 @@ File formats
 from __future__ import annotations
 
 import argparse
-import csv
 import os
-import shutil
 import sys
-import tempfile
 from typing import IO
 
 import numpy as np
@@ -61,6 +58,8 @@ def parse_edge_csv(stream: IO[str], n: int | None = None, T: int | None = None) 
     except OSError:  # e.g. a text file that is being iterated with next()
         start = None
     if start is None:  # a seekable copy, kept on disk rather than in memory
+        import shutil
+        import tempfile  # with what it loads, about 4 ms that only a spool needs
         with tempfile.TemporaryFile("w+", encoding="utf-8", errors="surrogatepass",
                                     newline="") as spool:
             shutil.copyfileobj(stream, spool)
@@ -175,7 +174,12 @@ def _parse_edge_rows(stream: IO[str], n: int | None, T: int | None) -> np.ndarra
             raise DataError(f"line {lineno}: non-integer field in {row}")
         if t < 0 or i < 0 or j < 0:
             raise DataError(f"line {lineno}: negative index in {row}")
-        max_t, max_node = max(max_t, t), max(max_node, i, j)
+        if t > max_t:
+            max_t = t
+        if i > max_node:
+            max_node = i
+        if j > max_node:
+            max_node = j
         if max_t < 2**63 and max_node < 2**63:  # int64 holds it; larger ids fail the size check
             values.extend((t, i, j))
     rows = np.frombuffer(values, np.int64).reshape(-1, 3)
@@ -184,6 +188,7 @@ def _parse_edge_rows(stream: IO[str], n: int | None, T: int | None) -> np.ndarra
 
 def _csv_rows(stream: IO[str]):
     """``csv.reader`` rows, with a malformed or oversized field as a DataError."""
+    import csv  # only the row loop reads with it
     reader = csv.reader(stream)
     try:
         yield from reader
@@ -193,11 +198,12 @@ def _csv_rows(stream: IO[str]):
 
 def _dense_sequence(blocks: list[np.ndarray], max_t: int, max_node: int,
                     n: int | None, T: int | None) -> np.ndarray:
-    """The (T, n, n) int8 sequence of the edges in (rows, 3) blocks."""
+    """The (T, n, n) int8 sequence of the edges in (rows, 3) blocks. The
+    blocks are consumed: an intp block is used, and overwritten, in place."""
     seq = _empty_sequence(max_t, max_node, n, T, held=sum(rows.nbytes for rows in blocks))
     flat, n = seq.reshape(-1), seq.shape[1]  # n as allocated: given or inferred
     for rows in blocks:
-        t, i, j = rows.T.astype(np.intp)
+        t, i, j = rows.T.astype(np.intp, copy=False)
         t *= n
         flat[(t + i) * n + j] = 1  # both orientations are set, so rows need no ordering
         flat[(t + j) * n + i] = 1

@@ -9,7 +9,6 @@ scan whose value exceeds the threshold.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,13 +123,12 @@ def local_maximizers(profile: ScanProfile) -> list[int]:
     qualifiers closer than h apart are reduced to their smallest t."""
     h = profile.h
     values = profile.values
-    m = len(values)
-    qualifying = []
-    for pos in range(m):
-        lo = max(0, pos - h + 1)
-        hi = min(m, pos + h)
-        if values[pos] >= values[lo:hi].max():
-            qualifying.append(int(profile.ts[pos]))
+    # windows[p] is values[p - h + 1 : p + h], -inf outside the scan range: a
+    # strided view, made as estim._distances makes its shifted rows.
+    padded = np.concatenate([np.full(h - 1, -np.inf), values, np.full(h - 1, -np.inf)])
+    (step,) = padded.strides
+    windows = np.ndarray((len(values), 2 * h - 1), padded.dtype, padded, 0, (step, step))
+    qualifying = profile.ts[values >= windows.max(axis=1)].tolist()
     # Any two qualifiers closer than h necessarily tie, so keeping the first
     # of each run enforces pairwise spacing >= h.
     kept: list[int] = []
@@ -140,22 +138,8 @@ def local_maximizers(profile: ScanProfile) -> list[int]:
     return kept
 
 
-def detect(
-    seq: np.ndarray,
-    params: DetectorParams,
-    min_segment: int | None = None,
-) -> ChangePointReport:
-    """Run the scan, keep local maximizers strictly above the threshold.
-
-    If a lower bound on the true minimum segment length is supplied via
-    min_segment, warn when h is too large for the coverage guarantee.
-    """
-    if min_segment is not None and not params.h < min_segment / 2:
-        warnings.warn(
-            f"h={params.h} is not below min_segment/2={min_segment / 2}; "
-            "coverage of all change-points is not guaranteed",
-            stacklevel=2,
-        )
+def detect(seq: np.ndarray, params: DetectorParams) -> ChangePointReport:
+    """Run the scan, keep local maximizers strictly above the threshold."""
     seq = np.asarray(seq)
     profile = scan_profile(seq, params)
     n = seq.shape[1]

@@ -73,3 +73,20 @@ def window_scan(seq, params):
         for s in range(T - h + 1)
     ]
     return np.array([dist_2inf(estimates[t - h], estimates[t]) ** 2 for t in range(h, T - h + 1)])
+
+
+def brute_local_maximizers(profile):
+    """Every point compared with every scan point closer than h, then the
+    first of each run of qualifiers closer than h kept."""
+    ts, vals = list(profile.ts), list(profile.values)
+    h = profile.h
+    qualifiers = [
+        t
+        for t, v in zip(ts, vals)
+        if all(v >= w for s, w in zip(ts, vals) if abs(s - t) < h)
+    ]
+    kept = []
+    for t in qualifiers:
+        if not kept or t - kept[-1] >= h:
+            kept.append(t)
+    return kept

@@ -34,7 +34,7 @@ from graphon_cpd.genmodels import (
 )
 from graphon_cpd.netcore import average_adjacency, dist_2inf, dist_frob
 
-from oracle import brute_kernel, sequential_smooth
+from oracle import brute_kernel, brute_local_maximizers, sequential_smooth
 
 SEED = 20260823
 
@@ -154,21 +154,6 @@ def test_criterion_7_analytic_signal_levels(report):
                     )
     detail = "all DSBM levels within 10/n" if not failures else "; ".join(failures)
     report(7, not failures, detail)
-
-
-def brute_local_maximizers(profile):
-    ts, vals = list(profile.ts), list(profile.values)
-    h = profile.h
-    qualifiers = [
-        t
-        for t, v in zip(ts, vals)
-        if all(v >= w for s, w in zip(ts, vals) if abs(s - t) < h)
-    ]
-    kept = []
-    for t in qualifiers:
-        if not kept or t - kept[-1] >= h:
-            kept.append(t)
-    return kept
 
 
 def brute_boysen(est, truth, T):

@@ -153,6 +153,17 @@ class TestEdgeCsv:
         assert np.array_equal(parsed, seq)
         assert peak <= 3 * parsed.nbytes
 
+    def test_row_loop_parse_memory(self, tmp_path):
+        # Padded fields send the file to the row loop, whose int64 block is
+        # scattered in place: copying it first peaked at about 14x here.
+        seq, path = written_csv(tmp_path)
+        header, body = path.read_text(encoding="utf-8").split("\n", 1)
+        path.write_text(header + "\n" + body.replace(",", ", "), encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            parsed, peak = traced_parse(fh)
+        assert np.array_equal(parsed, seq)
+        assert peak < 10 * parsed.nbytes
+
     def test_non_seekable_parse_memory_is_near_the_dense_array(self, tmp_path):
         # A stream that cannot seek is spooled to a temporary file; an
         # io.StringIO copy of it peaked at about 11x the dense array here.
@@ -549,14 +560,15 @@ class TestCli:
         assert code == 3
         assert capsys.readouterr().err == "numeric error: eta must be in (0, 1)\n"
 
-    def test_estimate_nonpositive_b0_is_numeric_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("b0", ["0", "inf"])
+    def test_estimate_nonpositive_b0_is_numeric_error(self, tmp_path, capsys, b0):
         edges = tmp_path / "edges.csv"
         edges.write_text("t,i,j\n0,0,1\n0,1,2\n")
         out = tmp_path / "mat.csv"
         assert cli_main(["estimate", str(edges), "--from", "1", "--to", "1",
-                         "--B0", "0", "--out", str(out)]) == 3
+                         "--B0", b0, "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
-            "numeric error: require n >= 3, omega > 0, b0 > 0\n")
+            "numeric error: require n >= 3, omega > 0, finite b0 > 0\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -19,7 +19,7 @@ from graphon_cpd.estim import mnbs_estimate
 from graphon_cpd.genmodels import ScenarioSpec, sample_snapshot, sbm_matrix, scenario_sequence, snapshot_rng
 from graphon_cpd.netcore import dist_2inf
 
-from oracle import window_scan
+from oracle import brute_local_maximizers, window_scan
 
 
 # Every dtype as_adjacency_sequence accepts for 0/1 snapshots.
@@ -250,6 +250,21 @@ class TestLocalMaximizers:
             maxima = local_maximizers(profile_from(values, h, T))
             assert all(b - a >= h for a, b in zip(maxima, maxima[1:]))
 
+    @pytest.mark.parametrize("kind", ["real", "tied", "flat"])
+    def test_matches_brute_force(self, kind):
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            h = int(rng.integers(1, 8))
+            T = int(rng.integers(2 * h, 2 * h + 30))  # down to a one-point scan
+            m = T - 2 * h + 1
+            values = {
+                "real": rng.random(m),
+                "tied": rng.integers(0, 3, m).astype(float),
+                "flat": np.full(m, rng.random()),
+            }[kind]
+            profile = profile_from(values, h, T)
+            assert local_maximizers(profile) == brute_local_maximizers(profile)
+
 
 @pytest.fixture(scope="module")
 def dsbm_instance():
@@ -306,8 +321,3 @@ class TestDetect:
         monkeypatch.setattr(cpd, "as_adjacency_sequence", spy)
         assert report_to_dict(detect(seq.tolist(), params)) == expected
         assert seen == [np.ndarray]  # the list is converted once
-
-    def test_min_segment_warning(self, dsbm_instance):
-        seq, _ = dsbm_instance
-        with pytest.warns(UserWarning, match="min_segment"):
-            detect(seq, DetectorParams(h=10), min_segment=12)
