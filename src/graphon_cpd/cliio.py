@@ -100,9 +100,12 @@ def _read_blocks(stream: IO[str]) -> tuple[list[np.ndarray], int, int] | None:
             raw = text.encode("ascii")
         except UnicodeEncodeError:
             return None
-        rows = _block_rows(np.frombuffer(raw, np.uint8))
-        if rows is None:
-            return None
+        b = np.frombuffer(raw, np.uint8)
+        rows = _block_rows(b)
+        if rows is None:  # other bytes or empty lines: try it as the writer writes it
+            rows = _block_rows(_writer_form(b))
+            if rows is None:
+                return None
         if len(rows):
             top = rows.max(axis=0)
             max_t, max_node = max(max_t, int(top[0])), max(max_node, int(top[1:].max()))
@@ -113,14 +116,11 @@ def _read_blocks(stream: IO[str]) -> tuple[list[np.ndarray], int, int] | None:
 def _block_rows(b: np.ndarray) -> np.ndarray | None:
     """The (rows, 3) values of a block of whole lines given as ASCII bytes,
     or None unless every line is three fields ``[0-9]{1,18}`` joined by
-    commas. Blocks holding other bytes or empty lines go through
-    `_writer_form` first."""
-    sep = np.flatnonzero(np.subtract(b, 48, dtype=np.uint8) > 9)
+    commas."""
+    digits = np.subtract(b, 48, dtype=np.uint8)
+    sep = np.flatnonzero(digits > 9)
     if b[sep].tobytes() != b",,\n" * (sep.size // 3):
-        b = _writer_form(b)
-        sep = np.flatnonzero(np.subtract(b, 48, dtype=np.uint8) > 9)
-        if b[sep].tobytes() != b",,\n" * (sep.size // 3):
-            return None
+        return None
     if not sep.size:
         return np.empty((0, 3), np.uint8)
     length = np.empty_like(sep)
@@ -132,7 +132,6 @@ def _block_rows(b: np.ndarray) -> np.ndarray | None:
     # Digit k from the right of every field at once, in a dtype that holds
     # width digits.
     dtype = np.uint16 if width <= 4 else np.uint32 if width <= 9 else np.uint64
-    digits = np.subtract(b, 48, dtype=np.uint8)
     values = np.zeros(sep.size, dtype)
     for k in range(1, width + 1):
         digit = digits.take(sep - k)
@@ -157,64 +156,45 @@ def _parse_edge_rows(stream: IO[str], n: int | None, T: int | None) -> np.ndarra
     """Row-by-row reader: accepts what ``csv`` and ``int`` accept, and names
     the first bad line."""
     import array  # an extension module (0.14 MiB resident) that only this reader needs
-    reader = _csv_rows(stream)
-    header = next(reader, None)
-    if header is None or [c.strip() for c in header] != ["t", "i", "j"]:
-        raise DataError("expected header 't,i,j'")
+    import csv  # only the row loop reads with it
+    reader = csv.reader(stream)
     values = array.array("q")  # t, i, j of every edge
     max_t = max_node = -1
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise DataError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        try:
-            t, i, j = (int(field) for field in row)
-        except ValueError:
-            raise DataError(f"line {lineno}: non-integer field in {row}")
-        if t < 0 or i < 0 or j < 0:
-            raise DataError(f"line {lineno}: negative index in {row}")
-        if t > max_t:
-            max_t = t
-        if i > max_node:
-            max_node = i
-        if j > max_node:
-            max_node = j
-        if max_t < 2**63 and max_node < 2**63:  # int64 holds it; larger ids fail the size check
-            values.extend((t, i, j))
+    try:  # a malformed or oversized field is a DataError
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header] != ["t", "i", "j"]:
+            raise DataError("expected header 't,i,j'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 3:
+                raise DataError(f"line {lineno}: expected 3 fields, got {len(row)}")
+            try:
+                t, i, j = (int(field) for field in row)
+            except ValueError:
+                raise DataError(f"line {lineno}: non-integer field in {row}")
+            if t < 0 or i < 0 or j < 0:
+                raise DataError(f"line {lineno}: negative index in {row}")
+            if t > max_t:
+                max_t = t
+            if i > max_node:
+                max_node = i
+            if j > max_node:
+                max_node = j
+            if max_t < 2**63 and max_node < 2**63:  # int64 holds it; larger ids fail the size check
+                values.extend((t, i, j))
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
     rows = np.frombuffer(values, np.int64).reshape(-1, 3)
     return _dense_sequence([rows], max_t, max_node, n, T)
 
 
-def _csv_rows(stream: IO[str]):
-    """``csv.reader`` rows, with a malformed or oversized field as a DataError."""
-    import csv  # only the row loop reads with it
-    reader = csv.reader(stream)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise DataError(f"line {reader.line_num}: {exc}") from None
-
-
 def _dense_sequence(blocks: list[np.ndarray], max_t: int, max_node: int,
                     n: int | None, T: int | None) -> np.ndarray:
-    """The (T, n, n) int8 sequence of the edges in (rows, 3) blocks. The
-    blocks are consumed: an intp block is used, and overwritten, in place."""
-    seq = _empty_sequence(max_t, max_node, n, T, held=sum(rows.nbytes for rows in blocks))
-    flat, n = seq.reshape(-1), seq.shape[1]  # n as allocated: given or inferred
-    for rows in blocks:
-        t, i, j = rows.T.astype(np.intp, copy=False)
-        t *= n
-        flat[(t + i) * n + j] = 1  # both orientations are set, so rows need no ordering
-        flat[(t + j) * n + i] = 1
-    return seq
-
-
-def _empty_sequence(max_t: int, max_node: int, n: int | None, T: int | None,
-                    held: int) -> np.ndarray:
-    """Zero (T, n, n) int8 array for data whose largest time and node id are
-    given (-1 for none), after checking the declared sizes against them.
-    held is the bytes the reader still keeps while the array is filled."""
+    """The (T, n, n) int8 sequence of the edges in (rows, 3) blocks whose
+    largest time and node id are given (-1 for none), after checking the
+    declared sizes against them. The blocks are consumed: an intp block is
+    used, and overwritten, in place."""
     inferred_T, inferred_n = max_t + 1, max_node + 1
     T = inferred_T if T is None else T
     n = inferred_n if n is None else n
@@ -230,12 +210,20 @@ def _empty_sequence(max_t: int, max_node: int, n: int | None, T: int | None,
         physical = float("inf")
     try:
         # Refused before allocating: under memory overcommit np.zeros can
-        # succeed for a size that could never be filled.
-        if T * n * n + held > physical:
+        # succeed for a size that could never be filled. The blocks are
+        # still held while it is filled.
+        if T * n * n + sum(rows.nbytes for rows in blocks) > physical:
             raise MemoryError
-        return np.zeros((T, n, n), dtype=np.int8)
+        seq = np.zeros((T, n, n), dtype=np.int8)
     except (MemoryError, ValueError):
         raise DataError(f"sizes (n={n}, T={T}) too large for a dense (T, n, n) int8 array")
+    flat = seq.reshape(-1)
+    for rows in blocks:
+        t, i, j = rows.T.astype(np.intp, copy=False)
+        t *= n
+        flat[(t + i) * n + j] = 1  # both orientations are set, so rows need no ordering
+        flat[(t + j) * n + i] = 1
+    return seq
 
 
 def write_edge_csv(seq: np.ndarray, stream: IO[str]) -> None:
@@ -387,10 +375,12 @@ def _parse_points(text: str) -> list[int]:
 
 
 def _run(args) -> int:
-    if args.command == "detect":
+    if args.command in ("detect", "estimate"):
         with open(args.input, newline="", encoding="utf-8") as fh:
             seq = parse_edge_csv(fh, n=args.n, T=args.T)
-        T, n = seq.shape[0], seq.shape[1]
+        T, n, _ = seq.shape
+
+    if args.command == "detect":
         params = _detector_params(args, T, n)
         report = detect(seq, params)
         write_report_json(report, args.out)
@@ -402,9 +392,6 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "estimate":
-        with open(args.input, newline="", encoding="utf-8") as fh:
-            seq = parse_edge_csv(fh, n=args.n, T=args.T)
-        T = seq.shape[0]
         if not 1 <= args.t_from <= args.t_to <= T:
             raise UsageError(f"window [{args.t_from}, {args.t_to}] invalid for T={T}")
         if args.method == "mnbs":

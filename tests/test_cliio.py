@@ -50,7 +50,8 @@ class TestEdgeCsv:
     @pytest.mark.parametrize("text,line", [
         ("t,i,j\n0,0,1\r0,1,2\n", 2),  # a lone \r without universal newlines
         ("t,i,j\n0,0,1\n0,1," + "1" * 200000 + "\n", 3),  # over csv's field limit
-    ], ids=["lone CR", "long field"])
+        ("t,i," + "j" * 200000 + "\n0,0,1\n", 1),  # the same in the header
+    ], ids=["lone CR", "long field", "long header field"])
     def test_csv_error_is_data_error(self, text, line):
         with pytest.raises(DataError, match=f"^line {line}: "):
             parse_edge_csv(io.StringIO(text))
@@ -486,8 +487,12 @@ class TestCli:
         assert (result.returncode, result.stderr) == (0, "")
         assert json.loads(result.stdout) == {"xi1": 2, "xi2": 2}
 
-    def test_missing_input_is_data_error(self, capsys):
-        assert cli_main(["detect", "no-such-file.csv", "--out", "x.json"]) == 2
+    @pytest.mark.parametrize("args", [
+        ["detect", "no-such-file.csv", "--out", "x.json"],
+        ["estimate", "no-such-file.csv", "--from", "1", "--to", "1", "--out", "x.csv"],
+    ], ids=["detect", "estimate"])
+    def test_missing_input_is_data_error(self, capsys, args):
+        assert cli_main(args) == 2
 
     # 91 TiB could be reserved under memory overcommit, so the first case
     # needs the physical-memory bound checked before allocating. The others
