@@ -247,7 +247,9 @@ def _json_value(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+        if np.isfinite(value):  # inf and nan are not JSON
+            return format(float(value), ".17g")
+        raise ValueError(f"cannot write {value} to a JSON report")
     if isinstance(value, str):
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(value, (list, tuple)):
@@ -283,8 +285,9 @@ def report_to_dict(report: ChangePointReport) -> dict:
 
 
 def write_report_json(report: ChangePointReport, path: str) -> None:
+    text = dumps_json(report_to_dict(report))  # before the file, so no partial report
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(report_to_dict(report)))
+        fh.write(text)
 
 
 def write_matrix_csv(mat: np.ndarray, stream: IO[str]) -> None:
@@ -325,7 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="t_to", type=int, required=True)
     p.add_argument("--method", choices=["mnbs", "musvt"], default="mnbs")
     p.add_argument("--B0", type=float, default=3.0)
-    p.add_argument("--eta", type=float, default=0.01, help="MUSVT threshold margin")
     p.add_argument("--out", required=True, help="matrix CSV path")
 
     p = sub.add_parser("simulate", help="sample a synthetic scenario")
@@ -398,7 +400,7 @@ def _run(args) -> int:
             est = mnbs_estimate(seq, args.t_from, args.t_to, args.B0)
         else:
             abar = average_adjacency(seq, args.t_from, args.t_to)
-            est = musvt_estimate(abar, args.t_to - args.t_from + 1, args.eta)
+            est = musvt_estimate(abar, args.t_to - args.t_from + 1)
         with open(args.out, "w", encoding="utf-8") as fh:
             write_matrix_csv(est, fh)
         return EXIT_OK
@@ -469,14 +471,10 @@ def cli_main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # numpy's names the size it could not allocate
         print(f"data error: out of memory. {exc}".rstrip(), file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, IndexError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (ValueError, IndexError, ArithmeticError) as exc:  # LinAlgError is a ValueError
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 
 def main() -> None:
     sys.exit(cli_main())
-
-
-if __name__ == "__main__":
-    main()

@@ -73,10 +73,14 @@ def default_params(T: int, n: int) -> DetectorParams:
 
 
 def threshold_value(n: int, params: DetectorParams) -> float:
-    """Detection threshold D0 * (log n)^(1/2 + delta0) / sqrt(n * h)."""
-    if n < 3:
-        raise ValueError("require n >= 3")
-    return params.d0 * math.log(n) ** (0.5 + params.delta0) / math.sqrt(n * params.h)
+    """Detection threshold D0 * (log n)^(1/2 + delta0) / sqrt(n * h), n >= 3."""
+    try:  # the power raises past the largest float; the product gives inf
+        thr = params.d0 * math.log(n) ** (0.5 + params.delta0) / math.sqrt(n * params.h)
+    except OverflowError:
+        thr = math.inf
+    if not math.isfinite(thr):
+        raise ValueError(f"threshold D0 (log n)^(1/2 + delta0) / sqrt(n h) overflows at n={n}")
+    return thr
 
 
 def scan_profile(seq: np.ndarray, params: DetectorParams) -> ScanProfile:
@@ -141,9 +145,10 @@ def local_maximizers(profile: ScanProfile) -> list[int]:
 def detect(seq: np.ndarray, params: DetectorParams) -> ChangePointReport:
     """Run the scan, keep local maximizers strictly above the threshold."""
     seq = np.asarray(seq)
+    # An overflowing threshold fails before the scan; scan_profile rejects n < 3.
+    n = seq.shape[1] if seq.ndim == 3 else 0
+    thr = threshold_value(n, params) if n >= 3 else None
     profile = scan_profile(seq, params)
-    n = seq.shape[1]
-    thr = threshold_value(n, params)
     maxima = local_maximizers(profile)
     cps = [t for t in maxima if profile.value_at(t) > thr]
     return ChangePointReport(

@@ -32,6 +32,7 @@ _GATHER_FLOATS = 2**15
 # pairs need their float64 distance takes the float64 kernel instead.
 _SCREEN_FLOOR = 128
 _BAND_SHARE = 1 / 16
+_MUSVT_ETA = 0.01  # margin of MUSVT's eigenvalue cutoff over USVT's 2·sqrt(n / window)
 
 
 @functools.lru_cache(maxsize=16)
@@ -132,14 +133,12 @@ def pairwise_distance(abar: np.ndarray) -> np.ndarray:
     """Node distance matrix: D[i, i'] = max_{k != i, i'} |G[i,k] - G[i',k]|,
     where G = abar @ abar / n. Diagonal is 0.
 
-    abar may be one (n, n) matrix or a stack (..., n, n); each slice of the
-    result has the bits of its own 2-D call."""
+    abar may be one (n, n) matrix or a nonempty stack (..., n, n); each
+    slice of the result has the bits of its own 2-D call."""
     abar = np.asarray(abar, dtype=float)
     n = abar.shape[-1]
     if n < 3:
         raise ValueError("need n >= 3 so the max over k != i, i' is nonempty")
-    if abar.size == 0:
-        return np.zeros(abar.shape)
     return _distances(_gram(abar), np.float64).reshape(abar.shape)
 
 
@@ -251,7 +250,7 @@ def mnbs_smooth(abar: np.ndarray, mask: np.ndarray) -> np.ndarray:
     # Row i: node i's members in ascending order, padded with n: a row of
     # -0.0, as x + -0.0 == x. Slice b's rows start at b * (n + 1) in `rows`.
     stack = abar.reshape(-1, n, n)
-    width = sizes.max(initial=0)  # 0 for an empty stack
+    width = sizes.max()
     idx = np.full(sizes.shape + (width,), n)
     idx[np.arange(width) < sizes[..., None]] = np.flatnonzero(mask) % n
     idx = idx.reshape(len(stack), n, width) + np.arange(len(stack))[:, None, None] * (n + 1)
@@ -263,7 +262,7 @@ def mnbs_smooth(abar: np.ndarray, mask: np.ndarray) -> np.ndarray:
     rows = np.concatenate([stack, np.full((len(stack), 1, n), -0.0)], axis=1).reshape(-1, n)
     raw = np.empty(stack.shape)
     flat = raw.reshape(-1, n)
-    block = max(1, _GATHER_FLOATS // max(1, width * n))
+    block = max(1, _GATHER_FLOATS // (width * n))
     buf = np.empty(width * min(block, len(flat)) * n)
     for lo in range(0, len(flat), block):
         members = idx[:, lo : lo + block]
@@ -286,7 +285,7 @@ def mnbs_from_average(abar: np.ndarray, window: int, b0: float) -> np.ndarray:
     or a stack (..., n, n) of averages over windows of the same length."""
     n = abar.shape[-1]
     q = mnbs_q(n, smoothing_bandwidth(n, window), b0)
-    if n < _SCREEN_FLOOR or abar.size == 0:
+    if n < _SCREEN_FLOOR:
         dist = pairwise_distance(abar)
     else:
         dist = _screened_distance(abar, window, q)
@@ -299,19 +298,17 @@ def mnbs_estimate(seq: np.ndarray, t_from: int, t_to: int, b0: float = 3.0) -> n
     return mnbs_from_average(abar, t_to - t_from + 1, b0)
 
 
-def musvt_estimate(abar: np.ndarray, window: int, eta: float = 0.01) -> np.ndarray:
+def musvt_estimate(abar: np.ndarray, window: int) -> np.ndarray:
     """Spectral estimate: keep eigencomponents of abar with |eigenvalue| >=
-    (2 + eta) * sqrt(n / window), reconstruct and clip entries to [0, 1]."""
+    (2 + 0.01) * sqrt(n / window), reconstruct and clip entries to [0, 1]."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    if not 0 < eta < 1:
-        raise ValueError("eta must be in (0, 1)")
     abar = np.asarray(abar, dtype=float)
     n = abar.shape[0]
     # One BLAS thread, so the bits of eigh and the product do not depend on
     # OPENBLAS_NUM_THREADS.
     with one_blas_thread:
         evals, evecs = np.linalg.eigh(abar)
-        keep = np.abs(evals) >= (2 + eta) * math.sqrt(n / window)
+        keep = np.abs(evals) >= (2 + _MUSVT_ETA) * math.sqrt(n / window)
         recon = (evecs[:, keep] * evals[keep]) @ evecs[:, keep].T
     return np.clip(recon, 0.0, 1.0)

@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -8,10 +10,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphon_cpd import cliio, estim
+from graphon_cpd import cliio, cpd, estim
 from graphon_cpd.cliio import (
     DataError,
     cli_main,
@@ -380,6 +382,13 @@ class TestReportJson:
     def test_empty_changepoints_serialize_as_list(self):
         assert '"changepoints": []' in dumps_json({"changepoints": []})
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_float_leaves_no_report(self, report, tmp_path, value):
+        path = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="cannot write .* to a JSON report"):
+            write_report_json(dataclasses.replace(report, threshold=value), str(path))
+        assert not path.exists()
+
 
 class TestCli:
     def test_simulate_then_detect(self, tmp_path, capsys):
@@ -550,20 +559,17 @@ class TestCli:
             "--from", "1", "--to", "6", "--method", "musvt", "--out", str(out2),
         ]) == 0
 
-    def test_estimate_eta_only_reaches_musvt(self, tmp_path, capsys):
+    def test_estimate_default_method_is_mnbs(self, tmp_path):
         edges = tmp_path / "edges.csv"
         cli_main([
             "simulate", "--scenario", "NOCHANGE-SBM-III", "--n", "12", "--T", "6",
             "--seed", "1", "--out", str(edges),
         ])
         window = ["estimate", str(edges), "--from", "1", "--to", "6"]
-        outs = [tmp_path / "default.csv", tmp_path / "eta2.csv"]
+        outs = [tmp_path / "default.csv", tmp_path / "mnbs.csv"]
         assert cli_main([*window, "--out", str(outs[0])]) == 0
-        assert cli_main([*window, "--method", "mnbs", "--eta", "2", "--out", str(outs[1])]) == 0
+        assert cli_main([*window, "--method", "mnbs", "--out", str(outs[1])]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
-        code = cli_main([*window, "--method", "musvt", "--eta", "2", "--out", str(outs[1])])
-        assert code == 3
-        assert capsys.readouterr().err == "numeric error: eta must be in (0, 1)\n"
 
     @pytest.mark.parametrize("b0", ["0", "inf"])
     def test_estimate_nonpositive_b0_is_numeric_error(self, tmp_path, capsys, b0):
@@ -597,6 +603,30 @@ class TestCli:
         assert err.startswith("numeric error:") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flags", [
+        ("detect", ["--delta0", "1000"]),
+        ("detect", ["--D0", "1e308", "--delta0", "5"]),
+        ("bench", ["--delta0", "1e308"]),
+    ], ids=["detect-delta0", "detect-D0-delta0", "bench-delta0"])
+    def test_overflowing_threshold_is_numeric_error(self, tmp_path, monkeypatch, capsys,
+                                                    command, flags):
+        # Refused before the scan: no window is estimated.
+        estimated, original = [], cpd.mnbs_from_average
+
+        def spy(abar, window, b0):
+            estimated.append(window)
+            return original(abar, window, b0)
+
+        monkeypatch.setattr(cpd, "mnbs_from_average", spy)
+        edges, out = tmp_path / "edges.csv", tmp_path / "out"
+        scenario = ["--scenario", "DSBM-I", "--n", "50", "--T", "20", "--seed", "1"]
+        assert cli_main(["simulate", *scenario, "--out", str(edges)]) == 0
+        args = {"detect": ["detect", str(edges)], "bench": ["bench", *scenario, "--reps", "1"]}
+        assert cli_main([*args[command], *flags, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: threshold") and err.count("\n") == 1
+        assert not out.exists() and estimated == []
+
     def test_memory_error_is_data_error(self, tmp_path, monkeypatch, capsys):
         def out_of_memory(abar):
             raise MemoryError
@@ -619,3 +649,99 @@ class TestCli:
 
     def test_usage_error_on_unknown_flag(self):
         assert cli_main(["detect", "--bogus"]) == 1
+
+
+# --- the command-line contract under random arguments ----------------------
+
+# (flag, good values, bad values). Every value parses as the flag's type, so a
+# failure is the program's: exit 1, 2 or 3 with one line. Sizes stay small,
+# so no case allocates much.
+DETECTOR_FLAGS = [
+    ("h", ["1", "2", "4"], ["-1", "0", "9"]),
+    ("B0", ["3", "1e-300", "1e308"], ["0", "-1", "nan"]),
+    ("D0", ["0.25", "1e-300"], ["0", "inf", "1e308"]),
+    ("delta0", ["0.1", "5"], ["1000", "1e308", "nan"]),
+]
+SIZE_FLAGS = [("n", ["12", "13"], ["2", "3"]), ("T", ["16", "17"], ["0", "3"])]
+SCENARIO_FLAGS = [
+    ("scenario", ["DSBM-I", "dsbm-iv", "NOCHANGE-GRAPHON-II"], ["BOGUS", "MDSBM-I"]),
+    ("n", ["6", "12"], ["-1", "5"]),
+    ("T", ["8", "12"], ["0", "5"]),
+    ("seed", ["0", "1", str(2**63)], ["-1", str(2**64)]),
+]
+POINTS = (["", "5", "3,9"], ["0", "a", "9,3", "48"])
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for one of the five commands, each value bad one time in four;
+    {d} stands for a directory that holds dsbm.csv, tiny.csv and empty.csv."""
+    def value(good, bad):
+        return draw(st.sampled_from(bad if bad and draw(st.integers(0, 3)) == 3 else good))
+
+    def required(flags):
+        return [f"--{name}={value(good, bad)}" for name, good, bad in flags]
+
+    def optional(flags):
+        return [arg for arg in required(flags) if draw(st.booleans())]
+
+    edges = value(["{d}/dsbm.csv", "{d}/tiny.csv"], ["{d}/empty.csv", "{d}/none.csv"])
+    command = draw(st.sampled_from(["detect", "estimate", "simulate", "eval", "bench"]))
+    if command == "detect":
+        return ["detect", edges, *optional(SIZE_FLAGS + DETECTOR_FLAGS),
+                "--out={d}/report.json", *optional([("scan-out", ["{d}/scan.csv"], [])])]
+    if command == "estimate":
+        window = [("from", ["1", "3"], ["-1", "0", "17"]), ("to", ["4", "16"], ["0", "2", "17"])]
+        return ["estimate", edges, *optional(SIZE_FLAGS), *required(window),
+                *optional([("method", ["mnbs", "musvt"], []), DETECTOR_FLAGS[1]]),
+                "--out={d}/matrix.csv"]
+    if command == "simulate":
+        return ["simulate", *required(SCENARIO_FLAGS), "--out={d}/edges.csv",
+                *optional([("truth-out", ["{d}/truth.json"], [])])]
+    if command == "eval":
+        return ["eval", *optional([("est", *POINTS), ("truth", *POINTS)]),
+                *required([("T", ["10", "100"], ["-1", "0"])])]
+    return ["bench", *required(SCENARIO_FLAGS + [("reps", ["1", "2"], ["-1", "0"])]),
+            *optional(DETECTOR_FLAGS), "--out={d}/bench.csv"]
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    assert cli_main(["simulate", "--scenario", "DSBM-I", "--n", "12", "--T", "16",
+                     "--seed", "1", "--out", str(root / "dsbm.csv")]) == 0
+    (root / "tiny.csv").write_text("t,i,j\n0,0,1\n1,1,2\n2,0,2\n3,1,2\n")
+    (root / "empty.csv").write_text("t,i,j\n")
+    return root
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@given(cli_argv())
+@example(["detect", "{d}/dsbm.csv", "--delta0=1000", "--out={d}/report.json"])
+@example(["detect", "{d}/dsbm.csv", "--D0=1e308", "--delta0=5", "--out={d}/report.json"])
+@settings(max_examples=300, deadline=None)
+def test_cli_contract(cli_dir, argv):
+    argv = [arg.format(d=cli_dir) for arg in argv]
+    written = ["report.json", "scan.csv", "matrix.csv", "edges.csv", "truth.json", "bench.csv"]
+    for name in written:
+        (cli_dir / name).unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        return
+    reports = [p.read_text() for p in (cli_dir / "report.json", cli_dir / "truth.json")
+               if p.exists()]
+    if argv[0] == "eval":
+        reports.append(out.getvalue())
+    for text in reports:
+        json.loads(text, parse_constant=_refuse)
+    for name, header in (("matrix.csv", 0), ("scan.csv", 1)):
+        if (cli_dir / name).exists():
+            values = np.loadtxt(cli_dir / name, delimiter=",", ndmin=2, skiprows=header)
+            assert np.isfinite(values).all()

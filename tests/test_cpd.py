@@ -169,8 +169,12 @@ class TestScanProfile:
             assert scan_profile(seq, params).values.tobytes() == expected
         assert sum(screened) == (2 * (T - h + 1) if n >= estim._SCREEN_FLOOR else 0)
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_scan_memory_flat_in_T(self, monkeypatch, threads):
+    # A chain that kept its estimates alive (7.2 KB each at n = 30) would
+    # hold 39 of them at T = 200 and 159 at T = 800 with h = 5, past the
+    # bound; with h = 20, 10 and 39, within it.
+    @pytest.mark.parametrize("threads, h", [("1", 20), ("2", 20), ("1", 5), ("2", 5)],
+                             ids=["1", "2", "h5-1", "h5-2"])
+    def test_scan_memory_flat_in_T(self, monkeypatch, threads, h):
         # Validation's own T·n² temporaries are left out of the measured peak.
         # On two threads the peak holds both chains' kernel buffers only when
         # they overlap, which a short scan does not always catch: the T = 200
@@ -191,7 +195,7 @@ class TestScanProfile:
             for _ in range(scans):
                 tracemalloc.start()
                 try:
-                    scan_profile(seq, DetectorParams(h=20))
+                    scan_profile(seq, DetectorParams(h=h))
                     peaks[T] = max(peaks[T], tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
@@ -311,6 +315,34 @@ class TestDetect:
         b = detect(seq, default_params(36, 40))
         assert np.array_equal(a.scan.values, b.scan.values)
         assert a.changepoints == b.changepoints
+
+    def test_maximum_at_the_threshold_is_not_reported(self, dsbm_instance, monkeypatch):
+        seq, _ = dsbm_instance
+        params = default_params(36, 40)
+        first = detect(seq, params)
+        (t,), (value,) = first.changepoints, first.changepoint_values
+        monkeypatch.setattr(cpd, "threshold_value", lambda n, params: value)
+        report = detect(seq, params)
+        assert report.threshold == value == report.scan.value_at(t)
+        assert t in report.local_max and t not in report.changepoints
+
+    # Below and from estim._SCREEN_FLOOR (the count screen), on block models
+    # and a graphon.
+    @pytest.mark.parametrize("sid, n, T", [
+        ("DSBM-I", 60, 64), ("NOCHANGE-GRAPHON-II", 40, 49), ("DSBM-I", 130, 36),
+    ])
+    def test_time_reversal_is_exact(self, sid, n, T):
+        # Window sums are exact integers and dist_2inf is symmetric, so the
+        # reversed sequence scans to the reversed values, bit for bit.
+        seq, _ = scenario_sequence(ScenarioSpec(id=sid, n=n, T=T, seed=1))
+        params = default_params(T, n)
+        forward, backward = detect(seq, params), detect(seq[::-1], params)
+        assert backward.scan.values.tobytes() == forward.scan.values[::-1].tobytes()
+        # No two scan values are equal, so no tie picks a maximum and the
+        # maxima mirror as T - t.
+        assert len(np.unique(forward.scan.values)) == len(forward.scan.values)
+        assert backward.local_max == sorted(T - t for t in forward.local_max)
+        assert backward.changepoints == sorted(T - t for t in forward.changepoints)
 
     def test_accepts_nested_lists(self, dsbm_instance, monkeypatch):
         seq, _ = dsbm_instance

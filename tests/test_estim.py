@@ -526,19 +526,6 @@ class TestStacks:
                 want = sequential_smooth(stack[b], members(mask[b]))
                 assert smooth[b].tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("shape", [(0, 5, 5), (2, 0, 5, 5)])
-    def test_empty_stack(self, monkeypatch, shape):
-        stack = np.zeros(shape)
-        dist = pairwise_distance(stack)
-        mask = neighborhoods(dist, 0.3)
-        smooth = mnbs_smooth(stack, mask)
-        est = estim.mnbs_from_average(stack, 4, 3.0)
-        assert dist.shape == mask.shape == smooth.shape == est.shape == shape
-        assert mask.dtype == bool
-        # An empty member table with one-row smoothing blocks.
-        monkeypatch.setattr(estim, "_GATHER_FLOATS", 1)
-        assert mnbs_smooth(stack, mask).shape == shape
-
 
 class TestMnbsEstimate:
     def test_deterministic_block_input(self):
@@ -600,8 +587,3 @@ class TestMusvt:
         abar = (abar + abar.T) / 2
         out = musvt_estimate(abar, 3)
         assert out.min() >= 0 and out.max() <= 1
-
-    @pytest.mark.parametrize("eta", [0.0, 1.0, -0.1])
-    def test_invalid_eta(self, eta):
-        with pytest.raises(ValueError):
-            musvt_estimate(np.zeros((3, 3)), 2, eta)
