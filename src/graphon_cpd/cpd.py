@@ -17,10 +17,13 @@ from ._parallel import ordered_map
 from .estim import mnbs_from_average
 from .netcore import as_adjacency_sequence, average_adjacency, dist_2inf
 
-# A scan chain estimates its windows B at a time, B·n² <= 2**14 floats per
-# stack (B = 1 from n = 91): a larger budget raised peak RSS at n = 100. The
-# cap of 8 keeps a short chain's scan memory that of a long one.
-_BATCH_FLOATS = 2**14
+# A scan chain estimates its windows B at a time, B·n² <= 2**15 floats per
+# stack (B = 8 up to n = 64, 3 at n = 100, 1 from n = 129). Stacks this long
+# make the count screen pay on two threads at n = 60 and 100, where one
+# window per call left its short numpy calls contending for the GIL; 2**16
+# ran little faster and raised peak RSS more. The cap of 8 keeps a short
+# chain's scan memory that of a long one.
+_BATCH_FLOATS = 2**15
 _MAX_BATCH = 8
 
 

@@ -26,11 +26,11 @@ from .netcore import average_adjacency
 _RUN_FLOATS = 2**13
 _CHUNK_FLOATS = 2**17
 _GATHER_FLOATS = 2**15
-# From _SCREEN_FLOOR nodes mnbs_from_average orders its distances on exact
-# integer counts (_screened_distance); below it the screen's extra numpy
-# calls cost more than they save. A stack where more than _BAND_SHARE of the
-# pairs need their float64 distance takes the float64 kernel instead.
-_SCREEN_FLOOR = 128
+# mnbs_from_average orders its distances on exact integer counts
+# (_screened_distance) at every n; the scan's stacks of B windows
+# (cpd._BATCH_FLOATS) keep the screen's extra numpy calls few. A stack where
+# more than _BAND_SHARE of the pairs need their float64 distance takes the
+# float64 kernel instead.
 _BAND_SHARE = 1 / 16
 _MUSVT_ETA = 0.01  # margin of MUSVT's eigenvalue cutoff over USVT's 2·sqrt(n / window)
 
@@ -285,11 +285,7 @@ def mnbs_from_average(abar: np.ndarray, window: int, b0: float) -> np.ndarray:
     or a stack (..., n, n) of averages over windows of the same length."""
     n = abar.shape[-1]
     q = mnbs_q(n, smoothing_bandwidth(n, window), b0)
-    if n < _SCREEN_FLOOR:
-        dist = pairwise_distance(abar)
-    else:
-        dist = _screened_distance(abar, window, q)
-    return mnbs_smooth(abar, neighborhoods(dist, q))
+    return mnbs_smooth(abar, neighborhoods(_screened_distance(abar, window, q), q))
 
 
 def mnbs_estimate(seq: np.ndarray, t_from: int, t_to: int, b0: float = 3.0) -> np.ndarray:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from graphon_cpd._parallel import one_blas_thread
-from graphon_cpd.estim import mnbs_from_average
+from graphon_cpd.estim import mnbs_q, mnbs_smooth, neighborhoods, pairwise_distance, smoothing_bandwidth
 from graphon_cpd.netcore import average_adjacency, dist_2inf
 
 
@@ -66,12 +66,14 @@ def sequential_smooth(abar, nbhd):
 
 
 def window_scan(seq, params):
-    """The scan as one fresh average per window, every estimate kept."""
-    T, h = len(seq), params.h
-    estimates = [
-        mnbs_from_average(average_adjacency(seq, s + 1, s + h), h, params.b0)
-        for s in range(T - h + 1)
-    ]
+    """The scan as one fresh average per window, every estimate kept, each
+    from float64 distances: no count screen and no stacks of windows."""
+    T, h, n = len(seq), params.h, seq.shape[1]
+    q = mnbs_q(n, smoothing_bandwidth(n, h), params.b0)
+    estimates = []
+    for s in range(T - h + 1):
+        abar = average_adjacency(seq, s + 1, s + h)
+        estimates.append(mnbs_smooth(abar, neighborhoods(pairwise_distance(abar), q)))
     return np.array([dist_2inf(estimates[t - h], estimates[t]) ** 2 for t in range(h, T - h + 1)])
 
 

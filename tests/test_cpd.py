@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -134,11 +133,12 @@ class TestScanProfile:
             assert calls == [list(range(h))]
             calls.clear()
 
-    # n = 61 is odd and estimates 4 windows per call, so h = 1, 2 and 17 end
-    # chains mid-batch at different windows; n = 100 estimates one at a time,
-    # and n = 160 orders its distances on exact integer counts
-    # (estim._SCREEN_FLOOR), while the oracle takes float64 distances
-    # throughout.
+    # Stacks of B = 8 windows at n = 61 (odd), 3 at n = 100, 2 at n = 128
+    # and 1 at n = 160 (cpd._BATCH_FLOATS). Each case has chains whose
+    # length is not a multiple of B, so they end mid-batch: h = 1 (one chain
+    # of 300 windows), 2 (150 and 149), 17 (17 and 16), n = 100's 10 and 9,
+    # and n = 128's 5 and 4. Every window's distances are ordered on its
+    # counts, while the oracle takes float64 distances one window at a time.
     @pytest.mark.parametrize(
         "sid, n, T, h",
         [
@@ -146,15 +146,14 @@ class TestScanProfile:
             ("MDSBM-I", 61, 300, 2),
             ("MDSBM-I", 61, 300, 17),
             ("DSBM-IV", 100, 100, 10),
+            ("DSBM-I", 128, 40, 7),
             ("DSBM-I", 160, 40, 6),
         ],
     )
     def test_matches_window_scan_at_batch_boundaries(self, monkeypatch, sid, n, T, h):
         seq, _ = scenario_sequence(ScenarioSpec(id=sid, n=n, T=T, seed=3))
         params = DetectorParams(h=h)
-        with monkeypatch.context() as exact:
-            exact.setattr(estim, "_SCREEN_FLOOR", math.inf)
-            expected = window_scan(seq, params).tobytes()
+        expected = window_scan(seq, params).tobytes()
         screened = []
         original = estim._screened_distance
 
@@ -164,10 +163,14 @@ class TestScanProfile:
             return original(abar, window, q)
 
         monkeypatch.setattr(estim, "_screened_distance", spy)
+        batch = max(1, min(cpd._MAX_BATCH, cpd._BATCH_FLOATS // (n * n)))
+        chains = [len(range(first, T - h + 1, h)) for first in range(h)]
+        assert batch == 1 or any(length % batch for length in chains)
         for threads in ("1", "2"):
             monkeypatch.setenv("GRAPHON_CPD_THREADS", threads)
             assert scan_profile(seq, params).values.tobytes() == expected
-        assert sum(screened) == (2 * (T - h + 1) if n >= estim._SCREEN_FLOOR else 0)
+        assert sum(screened) == 2 * (T - h + 1)
+        assert max(screened) == min(batch, max(chains))
 
     # A chain that kept its estimates alive (7.2 KB each at n = 30) would
     # hold 39 of them at T = 200 and 159 at T = 800 with h = 5, past the
@@ -222,6 +225,33 @@ class TestScanProfile:
             finally:
                 tracemalloc.stop()
         assert peaks[40] < 1.25 * peaks[5]
+
+    def test_scan_memory_per_worker_at_n100(self, monkeypatch):
+        # One worker's peak, validation left out, after a first scan has
+        # cached this shape's kernel plan: 22.5·n² floats with stacks of
+        # B = 3 (7.5·B·n²), 18.1·n² with the earlier stacks of one window,
+        # and 33.3·n² with B = 6 (a 2**16 budget), which fails the bound.
+        monkeypatch.setenv("GRAPHON_CPD_THREADS", "1")
+        original = cpd.as_adjacency_sequence
+
+        def validated(arr):
+            seq = original(arr)
+            tracemalloc.reset_peak()
+            return seq
+
+        monkeypatch.setattr(cpd, "as_adjacency_sequence", validated)
+        n, T, h = 100, 60, 7
+        batch = max(1, min(cpd._MAX_BATCH, cpd._BATCH_FLOATS // (n * n)))
+        assert batch == 3
+        seq, _ = scenario_sequence(ScenarioSpec(id="MDSBM-I", n=n, T=T, seed=1))
+        scan_profile(seq, DetectorParams(h=h))
+        tracemalloc.start()
+        try:
+            scan_profile(seq, DetectorParams(h=h))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * batch * n * n * 8
 
     def test_peak_memory_is_the_estimates(self, monkeypatch):
         # No per-snapshot buffer: the T - h + 1 float64 estimates dominate.
@@ -326,8 +356,8 @@ class TestDetect:
         assert report.threshold == value == report.scan.value_at(t)
         assert t in report.local_max and t not in report.changepoints
 
-    # Below and from estim._SCREEN_FLOOR (the count screen), on block models
-    # and a graphon.
+    # Stacks of 8, 8 and 1 windows (cpd._BATCH_FLOATS), on block models and
+    # a graphon.
     @pytest.mark.parametrize("sid, n, T", [
         ("DSBM-I", 60, 64), ("NOCHANGE-GRAPHON-II", 40, 49), ("DSBM-I", 130, 36),
     ])

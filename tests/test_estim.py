@@ -166,8 +166,8 @@ class TestPairwiseDistance:
 
 
 class TestScreen:
-    """mnbs_from_average orders distances on exact integer counts from
-    _SCREEN_FLOOR nodes; the masks must be those of the float64 distances."""
+    """mnbs_from_average orders distances on exact integer counts at every
+    n; the masks must be those of the float64 distances."""
 
     @staticmethod
     def screened_masks(monkeypatch, stack, h, q):
@@ -231,11 +231,13 @@ class TestScreen:
                     assert dtypes[0] == np.int16
                     assert got.tobytes() == want.tobytes()
 
-    # Just below and at the floor, one window and a stack of two.
+    # One window and a stack of two, either side of n = 4 (3 the smallest),
+    # 60 and 100, where the scan stacks 8 and 3 windows, and of n = 128,
+    # where the screen used to start and the scan's stacks go from two
+    # windows to one.
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("count", [1, 2])
     def test_estimate_at_the_floor(self, monkeypatch, offset, count):
-        n = estim._SCREEN_FLOOR + offset
         screened = []
         original = estim._screened_distance
 
@@ -244,11 +246,13 @@ class TestScreen:
             return original(abar, h, q)
 
         monkeypatch.setattr(estim, "_screened_distance", spy)
-        stack = count_stack(np.random.default_rng(n), (count,), n, 4)
-        q = mnbs_q(n, estim.smoothing_bandwidth(n, 4), 3.0)
-        want = mnbs_smooth(stack, neighborhoods(pairwise_distance(stack), q))
-        assert estim.mnbs_from_average(stack, 4, 3.0).tobytes() == want.tobytes()
-        assert screened == ([(stack.shape, 4)] if offset >= 0 else [])
+        for n in (4 + offset, 60 + offset, 100 + offset, 128 + offset):
+            screened.clear()
+            stack = count_stack(np.random.default_rng(n), (count,), n, 4)
+            q = mnbs_q(n, estim.smoothing_bandwidth(n, 4), 3.0)
+            want = mnbs_smooth(stack, neighborhoods(pairwise_distance(stack), q))
+            assert estim.mnbs_from_average(stack, 4, 3.0).tobytes() == want.tobytes()
+            assert screened == [(stack.shape, 4)]
 
     # Windows of ties: all zeros, all ones and two equal blocks tie most
     # pairs at the cutoff, and so take the float64 kernel after the screen.

@@ -132,22 +132,26 @@ import hashlib
 import numpy as np
 from graphon_cpd import (ScenarioSpec, average_adjacency, mnbs_estimate, musvt_estimate,
                          scenario_sequence)
-from graphon_cpd.cpd import DetectorParams, scan_profile
 from graphon_cpd import estim
+from graphon_cpd.cpd import DetectorParams, scan_profile
+estim.pairwise_distance = None  # every MNBS estimate screens its distances on counts
 seq, _ = scenario_sequence(ScenarioSpec(id="DSBM-I", n=300, T=12, seed=1))
-assert seq.shape[1] >= estim._SCREEN_FLOOR  # the estimates screen their distances
 estimate = mnbs_estimate(seq, 1, 3)
 values = np.asarray(scan_profile(seq, DetectorParams(h=3)).values)
 spectral = musvt_estimate(average_adjacency(seq, 1, 10), 10)
-print(hashlib.sha256(estimate.tobytes() + values.tobytes() + spectral.tobytes()).hexdigest())
+small, _ = scenario_sequence(ScenarioSpec(id="MDSBM-I", n=60, T=40, seed=1))
+stacked = np.asarray(scan_profile(small, DetectorParams(h=3)).values)
+print(hashlib.sha256(estimate.tobytes() + values.tobytes() + spectral.tobytes()
+                     + stacked.tobytes()).hexdigest())
 """
 
 
 def test_bits_independent_of_openblas_threads():
     # At n = 300 OpenBLAS splits the G = Abar² product and musvt's eigh across
     # its threads, which changes their last bits (and G's neighbour sets);
-    # the MNBS estimates there go through the integer-count screen, whose
-    # counts are exact, but whose tied pairs take float64 distances from G.
+    # the MNBS estimates go through the integer-count screen, whose counts
+    # are exact, but whose tied pairs take float64 distances from G. The
+    # n = 60 scan estimates its windows in stacks of 8.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = set()

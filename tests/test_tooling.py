@@ -25,14 +25,16 @@ tracer = tracing.Tracer()
 tracer.install(modules)
 layers = ["cpd.detect", "cpd.scan_profile", "estim.mnbs_from_average",
           "estim.neighborhoods", "estim.mnbs_smooth", "netcore.dist_2inf"]
-# Below the floor the chains call pairwise_distance; from it, the screen.
-for n, extra in [(estim._SCREEN_FLOOR - 1, ["estim.pairwise_distance"]), (estim._SCREEN_FLOOR, [])]:
+# Stacks of 8 windows at n = 60 and of one at n = 200: the chains screen
+# their distances on counts and never call pairwise_distance.
+for n in (60, 200):
     seq, _ = genmodels.scenario_sequence(genmodels.ScenarioSpec("DSBM-I", n, 8, 1))
     tracer.spans.clear()
     cpd.detect(seq, cpd.DetectorParams(h=2))
     names = {span["name"] for span in tracer.spans}
-    absent = [layer for layer in layers + extra if layer not in names]
+    absent = [layer for layer in layers if layer not in names]
     assert not absent, f"n={n}: no spans for {absent}"
+    assert "estim.pairwise_distance" not in names, f"n={n}: pairwise_distance ran"
     assert tracer.nbhd_ratios
 print("ok")
 """
