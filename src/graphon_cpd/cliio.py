@@ -357,6 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _detector_params(args, T: int, n: int) -> DetectorParams:
     h = args.h if args.h is not None else default_params(T, n).h
+    if h < 1:  # as --h above T / 2, a bad argument
+        raise UsageError("h must be a positive integer")
     if 2 * h > T:
         raise UsageError(f"need 2h <= T, got h={h}, T={T}")
     return DetectorParams(h=h, b0=args.B0, d0=args.D0, delta0=args.delta0)
@@ -434,6 +436,8 @@ def _run(args) -> int:
     if args.command == "bench":
         spec = _scenario_spec(args)
         params = _detector_params(args, args.T, args.n)
+        if args.reps < 1:
+            raise UsageError("reps must be >= 1")
         row = monte_carlo(spec, args.reps, params)
         text = BENCH_CSV_HEADER + "\n" + row.csv_line() + "\n"
         if args.out:

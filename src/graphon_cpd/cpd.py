@@ -91,10 +91,10 @@ def scan_profile(seq: np.ndarray, params: DetectorParams) -> ScanProfile:
 
     D(t, h) compares only the windows that start at t - h and at t, so the
     scan splits into h chains of windows first, first + h, ... (first < h),
-    one task each. A chain estimates its windows as stacks of B (see
-    _BATCH_FLOATS), a few long numpy calls per stack, and keeps only the
-    last estimate of the stack before; a worker holds at most two stacks of
-    estimates at a time, whatever T and h.
+    one task each. A chain averages B windows (see _BATCH_FLOATS), B·h
+    consecutive snapshots, in one call, estimates the stack in a few long
+    numpy calls and keeps only the last estimate of the stack before; a
+    worker holds at most two stacks of estimates at a time, whatever T and h.
     """
     seq = as_adjacency_sequence(seq)
     T, n = seq.shape[0], seq.shape[1]
@@ -106,12 +106,12 @@ def scan_profile(seq: np.ndarray, params: DetectorParams) -> ScanProfile:
     batch = max(1, min(_MAX_BATCH, _BATCH_FLOATS // (n * n)))
 
     def scan_chain(first: int) -> list[float]:
-        starts = range(first, T - h + 1, h)
         values = []
         before = None
-        for lo in range(0, len(starts), batch):
-            abars = np.stack([average_adjacency(seq, s + 1, s + h) for s in starts[lo : lo + batch]])
-            for after in mnbs_from_average(abars, h, params.b0):
+        for s in range(first, T - h + 1, batch * h):
+            k = min(batch, (T - s) // h)
+            windows = seq[s : s + k * h].reshape(k, h, n, n).swapaxes(0, 1)
+            for after in mnbs_from_average(average_adjacency(windows, 1, h), h, params.b0):
                 if before is not None:
                     # A Python float squared: numpy's square differs in the last bit.
                     values.append(dist_2inf(before, after) ** 2)

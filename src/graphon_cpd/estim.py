@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ._parallel import one_blas_thread
-from .netcore import average_adjacency
+from .netcore import as_adjacency_sequence, average_adjacency
 
 # A pairwise_distance chunk compares a block of rows of G, at least
 # _RUN_FLOATS floats (64 KiB) so that each subtraction runs long, with their
@@ -145,30 +145,26 @@ def pairwise_distance(abar: np.ndarray) -> np.ndarray:
 def _screened_distance(abar: np.ndarray, h: int, q: float) -> np.ndarray:
     """A matrix that neighborhoods(., q) maps to the mask of
     neighborhoods(pairwise_distance(abar), q), for a nonempty stack of
-    averages over windows of h snapshots.
+    averages over windows of h snapshots, each counts / h with integer
+    counts in 0..h, as average_adjacency gives for 0/1 snapshots (unchecked).
 
-    Each average must be counts / h with integer counts in 0..h. Then, while
-    (n + 4)·n·h² < 2^51, C = rint(G·n·h²) is counts @ counts exactly, and
-    the rounding in G cannot reorder two distances whose exact integers on
-    C differ (README, "Reproducibility"). The kernel runs on C in integers;
-    a pair below its row's integer cutoff is inside the float64 one, a pair
-    above it outside, and only pairs tied at it, in rows where two or more
-    tie, get their float64 distance, computed with pairwise_distance's
-    operations. The result holds -inf below the cutoff, +inf above, 0 at a
-    lone tie and the float64 distance at the other ties, and -inf on the
-    diagonal, which neighborhoods leaves out. Other input, and windows
-    where many pairs tie, take the float64 kernel."""
+    While (n + 4)·n·h² < 2^51, C = rint(G·n·h²) is counts @ counts exactly,
+    and the rounding in G cannot reorder two distances whose exact integers
+    on C differ (README, "Reproducibility"). The kernel runs on C in
+    integers; a pair below its row's integer cutoff is inside the float64
+    one, a pair above it outside, and only pairs tied at it, in rows where
+    two or more tie, get their float64 distance, computed with
+    pairwise_distance's operations. The result holds -inf below the cutoff,
+    +inf above, 0 at a lone tie and the float64 distance at the other ties,
+    and -inf on the diagonal, which neighborhoods leaves out. Windows past
+    the bound, and windows where many pairs tie, take the float64 kernel."""
     abar = np.asarray(abar, dtype=float)
     n = abar.shape[-1]
     g = _gram(abar)
-    # One float64 buffer of G's size holds the counts, then C; it goes
-    # before the kernel runs, so as not to raise the kernel's peak memory.
-    c = np.multiply(abar.reshape(g.shape), h)
-    np.rint(c, out=c)
-    if not (c.min() >= 0 and c.max() <= h and (n + 4) * n * h**2 < 2**51
-            and (np.divide(c, h, out=c) == abar.reshape(g.shape)).all()):
+    if (n + 4) * n * h**2 >= 2**51:
         return _distances(g, np.float64).reshape(abar.shape)
-    np.rint(np.multiply(g, n * h**2, out=c), out=c)
+    c = np.multiply(g, n * h**2)
+    np.rint(c, out=c)
     top = c.max()
     dtype = np.int16 if top < 2**15 else np.int32 if top < 2**31 else np.int64
     c = c.astype(dtype)
@@ -281,16 +277,16 @@ def smoothing_bandwidth(n: int, window: int) -> float:
 
 
 def mnbs_from_average(abar: np.ndarray, window: int, b0: float) -> np.ndarray:
-    """Neighborhood-smoothing estimate given a precomputed window average,
-    or a stack (..., n, n) of averages over windows of the same length."""
+    """Neighborhood-smoothing estimate from average_adjacency's mean of `window`
+    symmetric 0/1 snapshots (unchecked), or from a stack (..., n, n) of them."""
     n = abar.shape[-1]
     q = mnbs_q(n, smoothing_bandwidth(n, window), b0)
     return mnbs_smooth(abar, neighborhoods(_screened_distance(abar, window, q), q))
 
 
 def mnbs_estimate(seq: np.ndarray, t_from: int, t_to: int, b0: float = 3.0) -> np.ndarray:
-    """Full estimation chain over the 1-based window [t_from, t_to]."""
-    abar = average_adjacency(seq, t_from, t_to)
+    """MNBS estimate over the 1-based window [t_from, t_to]; as_adjacency_sequence checks seq."""
+    abar = average_adjacency(as_adjacency_sequence(seq), t_from, t_to)
     return mnbs_from_average(abar, t_to - t_from + 1, b0)
 
 

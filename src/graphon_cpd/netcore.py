@@ -34,7 +34,7 @@ def as_adjacency_sequence(arr) -> np.ndarray:
 
 
 def average_adjacency(seq: np.ndarray, t_from: int, t_to: int) -> np.ndarray:
-    """Mean of the snapshots over the inclusive 1-based window [t_from, t_to]."""
+    """Mean over axis 0 of the 1-based window [t_from, t_to]; any trailing shape."""
     T = seq.shape[0]
     if not (1 <= t_from <= t_to <= T):
         raise IndexError(f"window [{t_from}, {t_to}] out of range for T={T}")

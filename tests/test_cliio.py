@@ -415,13 +415,20 @@ class TestCli:
             "simulate", "--scenario", "DSBM-I", "--n", "30", "--T", "16",
             "--seed", "7", "--out", str(edges),
         ])
-        for command in (
-            ["detect", str(edges), "--T", "16", "--h", "9", "--out", "x.json"],
-            ["bench", "--scenario", "DSBM-I", "--n", "30", "--T", "16", "--seed", "1",
-             "--reps", "1", "--h", "9"],
-        ):
+        bench = ["bench", "--scenario", "DSBM-I", "--n", "30", "--T", "16", "--seed", "1"]
+        too_large = "error: need 2h <= T, got h=9, T=16\n"
+        not_positive = "error: h must be a positive integer\n"
+        for command, err in [
+            (["detect", str(edges), "--T", "16", "--h", "9", "--out", "x.json"], too_large),
+            ([*bench, "--reps", "1", "--h", "9"], too_large),
+            (["detect", str(edges), "--h", "0", "--out", "x.json"], not_positive),
+            (["detect", str(edges), "--h", "-2", "--out", "x.json"], not_positive),
+            ([*bench, "--reps", "1", "--h", "0"], not_positive),
+            ([*bench, "--reps", "0"], "error: reps must be >= 1\n"),
+            ([*bench, "--reps", "-3", "--h", "2"], "error: reps must be >= 1\n"),
+        ]:
             assert cli_main(command) == 1
-            assert capsys.readouterr().err == "error: need 2h <= T, got h=9, T=16\n"
+            assert capsys.readouterr().err == err
 
     def test_detect_given_h_skips_default_check(self, tmp_path, capsys):
         # T = 3 is too short for the default h = floor(sqrt(T)), not for --h 1.

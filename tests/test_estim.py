@@ -1,4 +1,6 @@
+import io
 import math
+import re
 import time
 import tracemalloc
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from graphon_cpd import estim
+from graphon_cpd.cliio import cli_main, write_edge_csv, write_matrix_csv
 from graphon_cpd.estim import (
     mnbs_estimate,
     mnbs_q,
@@ -290,34 +293,18 @@ class TestScreen:
             ratios.append((middle - start) / (time.perf_counter() - middle))
         assert np.median(ratios) < 2
 
-    # A stack with one slice that is not counts / h (scaled, NaN, +-inf,
-    # negative, above h or another fraction), or past the rounding bound
-    # (n + 4)·n·h² < 2^51, takes the float64 kernel alone.
-    def test_nonfinite_or_tiny_scale_takes_the_exact_kernel(self, monkeypatch):
-        n, h = 20, 4
-        abar = count_stack(np.random.default_rng(2), (), n, h)
-
-        def second(value):
-            out = abar.copy()
-            out[0, 1] = out[1, 0] = value
-            return out
-
-        for bad in (abar * 2.0**-60, abar * 2.0**60, second(np.nan), second(np.inf),
-                    second(-np.inf), second(-1 / 4), second(5 / 4), second(0.3)):
-            stack = np.stack([abar, bad])
-            with np.errstate(invalid="ignore"):
-                want = neighborhoods(pairwise_distance(stack), 0.3)
-                got, dtypes = self.screened_masks(monkeypatch, stack, h, 0.3)
-            assert dtypes == [np.float64]
-            assert got.tobytes() == want.tobytes()
-        # Counts over windows of h snapshots, either side of the bound.
+    # Counts over windows of h snapshots either side of the rounding bound
+    # (n + 4)·n·h² < 2^51: past it, the float64 kernel alone.
+    def test_rounding_bound_takes_the_exact_kernel(self, monkeypatch):
+        n = 20
         for wide, dtype in [(2**20, np.int64), (2**22, np.float64)]:
             assert ((n + 4) * n * wide**2 < 2**51) == (dtype is np.int64)
             stack = count_stack(np.random.default_rng(wide), (2,), n, wide)
             got, dtypes = self.screened_masks(monkeypatch, stack, wide, 0.3)
             assert dtypes == [dtype]
             assert got.tobytes() == neighborhoods(pairwise_distance(stack), 0.3).tobytes()
-        assert self.screened_masks(monkeypatch, abar, h, 0.3)[1][0] == np.int16
+        abar = count_stack(np.random.default_rng(2), (), n, 4)
+        assert self.screened_masks(monkeypatch, abar, 4, 0.3)[1][0] == np.int16
 
 
 class TestKernel:
@@ -502,13 +489,40 @@ class TestStacks:
         dist = pairwise_distance(stack)
         mask = neighborhoods(dist, 0.3)
         smooth = mnbs_smooth(stack, mask)
-        est = estim.mnbs_from_average(stack, 4, 3.0)
-        assert dist.shape == mask.shape == smooth.shape == est.shape == stack.shape
+        assert dist.shape == mask.shape == smooth.shape == stack.shape
         for i in np.ndindex(lead):
             assert dist[i].tobytes() == pairwise_distance(stack[i]).tobytes()
             assert mask[i].tobytes() == neighborhoods(dist[i], 0.3).tobytes()
             assert smooth[i].tobytes() == mnbs_smooth(stack[i], mask[i]).tobytes()
-            assert est[i].tobytes() == estim.mnbs_from_average(stack[i], 4, 3.0).tobytes()
+
+        # Estimates take window averages: random counts over h = 10
+        # snapshots, and counts shared by blocks of nodes (many ties). A mixed
+        # stack's ties take it to the float64 kernel while a random slice
+        # alone keeps the integer one, so the slices' bytes hold across routes.
+        h = 10
+        rng = np.random.default_rng(n)
+        tied = {"uniform": [False], "block": [True], "mixed": [True, False]}[kind]
+        stack = np.stack([
+            np.rint(block_matrix(rng, n) * h) / h if tied[b % len(tied)]
+            else count_stack(rng, (), n, h)
+            for b in range(count)
+        ]).reshape(lead + (n, n))
+        routes = []
+        original = estim._distances
+
+        def spy(g, dtype):
+            routes.append(dtype)
+            return original(g, dtype)
+
+        monkeypatch.setattr(estim, "_distances", spy)
+        est = estim.mnbs_from_average(stack, h, 3.0)
+        assert est.shape == stack.shape
+        kernels = [routes[-1]]
+        for i in np.ndindex(lead):
+            assert est[i].tobytes() == estim.mnbs_from_average(stack[i], h, 3.0).tobytes()
+            kernels.append(routes[-1])
+        if kind == "mixed" and count > 1:
+            assert kernels[0] is np.float64 and np.int16 in kernels[1:]
 
 
     # Smoothing sums blocks of rows in one reduction each, at most
@@ -563,6 +577,33 @@ class TestMnbsEstimate:
         perm = rng.permutation(30)
         est_perm = mnbs_estimate(seq[:, perm][:, :, perm], 1, 8)
         assert np.allclose(est_perm, est[perm][:, perm], atol=1e-12)
+
+    # The screen takes counts / h on trust; mnbs_estimate, the public entry
+    # that reaches it outside the scan, checks its sequence first.
+    def test_sequence_is_checked(self, tmp_path):
+        seq, _ = scenario_sequence(ScenarioSpec(id="DSBM-I", n=40, T=12, seed=1))
+        assert seq.dtype == np.int8
+        want = mnbs_estimate(seq, 2, 11)
+        for dtype in (bool, np.int64, np.float64):
+            assert mnbs_estimate(seq.astype(dtype), 2, 11).tobytes() == want.tobytes()
+        weighted = seq.astype(float)
+        weighted[5, 0, 1] = weighted[5, 1, 0] = 0.5
+        asymmetric = seq.copy()
+        asymmetric[5, 0, 1] = 1 - asymmetric[5, 1, 0]
+        for bad, message in [(weighted, "adjacency entries must be 0 or 1"),
+                             (asymmetric, "snapshots must be symmetric"),
+                             (seq[5], "expected shape (T, n, n), got (40, 40)")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                mnbs_estimate(bad, 2, 11)
+        # The CLI's estimate writes the same matrix.
+        edges, out = tmp_path / "edges.csv", tmp_path / "mat.csv"
+        with open(edges, "w", encoding="utf-8") as fh:
+            write_edge_csv(seq, fh)
+        assert cli_main(["estimate", str(edges), "--n", "40", "--T", "12",
+                         "--from", "2", "--to", "11", "--out", str(out)]) == 0
+        text = io.StringIO()
+        write_matrix_csv(want, text)
+        assert out.read_text(encoding="utf-8") == text.getvalue()
 
 
 class TestMusvt:
